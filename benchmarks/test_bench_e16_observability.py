@@ -3,10 +3,11 @@
 The tracing layer's acceptance experiment: the same 240-contract
 per-contract scan loop runs with tracing disarmed (the production
 default -- every instrumentation site is one module-global ``None``
-check) and with a tracer armed.  The contracts: (1) the disarmed
-best/worst repeat ratio stays at jitter level, so instrumenting the hot
-paths did not slow the seed stack (E8/E12's seed-gated throughputs hold
-independently); (2) armed tracing costs at most 10% wall clock; (3) span
+check) and with a tracer armed, in interleaved disarmed/armed pairs.
+The contracts: (1) the median ratio of consecutive disarmed passes stays
+at jitter level, so instrumenting the hot paths did not slow the seed
+stack (E8/E12's seed-gated throughputs hold independently); (2) armed
+tracing costs at most 10% wall clock, as the median per-pair ratio; (3) span
 accounting is exact -- every scan yields exactly one trace, no orphan
 spans, every same-thread child nests inside its parent; (4) armed and
 disarmed passes produce identical verdicts.

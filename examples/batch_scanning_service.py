@@ -1,10 +1,10 @@
-"""The batch scanning service: cached, parallel triage of a contract feed.
+"""The batch scanning service: cached, batched triage of a contract feed.
 
 Scenario: a security desk receives a rolling feed of contract submissions.
 Most of the feed is repeats -- factory clones, re-submissions of yesterday's
 contracts, re-audits after a model refresh -- so the desk runs the detector
 behind the service layer: a content-addressed graph cache (with an on-disk
-tier that survives restarts) plus parallel lowering and batched inference.
+tier that survives restarts) plus batched inference.
 
 Run with::
 

@@ -63,8 +63,8 @@ def main() -> None:
         print(f"{name:<24} {platform:>8} {report.malicious_probability:>13.3f} "
               f"{decision:>10}")
 
-    # the same gate as a batch service call: parallel lowering, a graph cache
-    # shared across submission waves, and throughput telemetry
+    # the same gate as a batch service call: batched inference, a graph
+    # cache shared across submission waves, and throughput telemetry
     from repro.service import GraphCache
 
     cache = GraphCache.for_config(detector.config)

@@ -163,8 +163,8 @@ def _command_scan_batch(args: argparse.Namespace) -> int:
         except ValueError as error:
             raise SystemExit(f"scan-batch: {error}")
     registry = _open_registry("scan-batch", args.registry, detector)
-    scanner = BatchScanner(detector, cache=cache, max_workers=args.workers,
-                           shards=args.shards, registry=registry)
+    scanner = BatchScanner(detector, cache=cache, shards=args.shards,
+                           registry=registry)
     try:
         result = scanner.scan_directory(args.input_dir, pattern=args.pattern,
                                         platform=args.platform,
@@ -292,8 +292,7 @@ def _command_watch(args: argparse.Namespace) -> int:
                              pattern=args.pattern,
                              recursive=not args.no_recursive,
                              rules=rules_engine, interval=args.interval,
-                             cache=cache, max_workers=args.workers,
-                             shards=args.shards)
+                             cache=cache, shards=args.shards)
     except (FileNotFoundError, ValueError, RegistryError) as error:
         raise SystemExit(f"watch: {error}")
 
@@ -347,7 +346,7 @@ def _run_event_watch(args: argparse.Namespace, detector, registry,
             detector, registry, roots=roots, pattern=args.pattern,
             recursive=not args.no_recursive, rules=rules_engine,
             queue_capacity=args.queue_capacity, backend=args.backend,
-            cache=cache, max_workers=args.workers, shards=args.shards)
+            cache=cache, shards=args.shards)
     except (FileNotFoundError, ValueError, RuntimeError) as error:
         raise SystemExit(f"watch: {error}")
 
@@ -728,8 +727,6 @@ def build_parser() -> argparse.ArgumentParser:
                                    "tier (re-use across runs for warm scans)")
     batch_parser.add_argument("--cache-capacity", type=int, default=None,
                               help="in-memory graph-cache entries (default 1024)")
-    batch_parser.add_argument("--workers", type=int, default=None,
-                              help="lowering threads (default: executor heuristic)")
     batch_parser.add_argument("--shards", type=int, default=1,
                               help="scan worker processes; >= 2 shards the "
                                    "scan by content hash across pipeline "
@@ -830,8 +827,6 @@ def build_parser() -> argparse.ArgumentParser:
     watch_parser.add_argument("--cache-dir", default=None,
                               help="directory for the persistent "
                                    "graph-cache tier")
-    watch_parser.add_argument("--workers", type=int, default=None,
-                              help="lowering threads per scan cycle")
     watch_parser.add_argument("--shards", type=int, default=1,
                               help="scan worker processes per cycle")
     watch_parser.add_argument("--explain", action="store_true",

@@ -5,8 +5,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence, Union, TYPE_CHECKING
 
 from repro.core.config import ScamDetectConfig
-from repro.core.frontends import detect_platform, get_frontend
-from repro.core.indicators import extract_indicators, format_indicators
+from repro.core.engine import ScanEngine
 from repro.core.pipeline import ScamDetectPipeline
 from repro.core.report import ScanSummary, VerdictReport
 from repro.datasets.corpus import Corpus
@@ -39,10 +38,6 @@ def coerce_bytecode(code: BytecodeLike) -> bytes:
     return bytes.fromhex(text)
 
 
-# Backwards-compatible private alias (pre-service-layer name).
-_to_bytes = coerce_bytecode
-
-
 class ScamDetector:
     """The user-facing detector.
 
@@ -68,8 +63,9 @@ class ScamDetector:
         config: Pipeline configuration; defaults train a 2-layer GCN.
         threshold: Probability above which a contract is flagged malicious.
         explain: Attach human-readable indicator notes to every report
-            (costs one extra CFG build per scan; batch deployments that only
-            need verdicts can disable it).
+            (runs the indicator rules over each lowered CFG, plus one CFG
+            build per graph-cache hit; batch deployments that only need
+            verdicts can disable it).
         cascade: Enable the tier-0 cascade pre-filter on every scan entry
             point: confident-benign contracts short-circuit before graph
             lowering (verdicts carry ``stage: "prefilter"``), the uncertain
@@ -224,13 +220,16 @@ class ScamDetector:
     # ------------------------------------------------------------------ #
 
     def build_report(self, raw: bytes, sample_id: str, platform: str,
-                     probability: float, graph: "ContractGraph") -> VerdictReport:
+                     probability: float, graph: "ContractGraph",
+                     indicator_notes: Sequence[str] = ()) -> VerdictReport:
         """Compose the :class:`VerdictReport` for one scored contract.
 
-        Single-contract :meth:`scan` and the batch scanner both call this,
-        which is what guarantees their verdicts are identical: the threshold
-        rule, indicator notes and CFG statistics all come from the same code
-        path.  The probability is quantized to 9 decimals before anything
+        The scan engine (:mod:`repro.core.engine`) calls this for every
+        entry point, which is what guarantees their verdicts are identical:
+        the threshold rule, notes and CFG statistics all come from the same
+        code path.  ``indicator_notes`` are the formatted indicators of the
+        contract's CFG; the engine passes them when ``explain`` is on.  The
+        probability is quantized to 9 decimals before anything
         else happens so that verdicts are *batch-invariant*: BLAS reduction
         order differs between a lone forward pass and the same graph inside
         a stacked mini-batch (~1e-13 score noise), and quantizing far above
@@ -239,10 +238,7 @@ class ScamDetector:
         """
         probability = round(float(probability), 9)
         label = 1 if probability >= self.threshold else 0
-        notes: List[str] = []
-        if self.explain:
-            cfg = get_frontend(platform).build_cfg(raw, name=sample_id)
-            notes.extend(format_indicators(extract_indicators(cfg)))
+        notes = list(indicator_notes)
         if platform == "evm" and is_minimal_proxy(raw):
             notes.append("ERC-1167 minimal proxy: verdict reflects the proxy stub, "
                          "scan the implementation contract for a definitive answer")
@@ -274,25 +270,18 @@ class ScamDetector:
         """
         if not self.is_trained:
             raise RuntimeError("ScamDetector.scan called before train()")
-        raw = coerce_bytecode(code)
-        resolved_platform = platform or detect_platform(raw)
-        decisions = self.cascade_decide([raw], [resolved_platform])
-        if decisions is not None and decisions[0].short_circuit:
-            return self.build_prefilter_report(
-                raw, sample_id, resolved_platform, decisions[0].probability)
-        _, probability, graph, resolved_platform = self.pipeline.predict_bytecode(
-            raw, resolved_platform)
-        return self.build_report(raw, sample_id, resolved_platform,
-                                 probability, graph)
+        outcome = ScanEngine(self).run([coerce_bytecode(code)], [sample_id],
+                                       [platform])
+        return outcome.reports[0]
 
     def scan_batch(self, codes: Iterable[BytecodeLike],
                    platform: Optional[str] = None,
                    sample_ids: Optional[Sequence[str]] = None) -> ScanSummary:
         """Scan many contracts one-by-one and return a :class:`ScanSummary`.
 
-        This is the simple sequential loop; prefer :meth:`scan_many` for
-        large inputs -- it lowers in parallel, batches GNN inference and can
-        reuse a graph cache across calls.
+        This is the simple one-contract-at-a-time loop; prefer
+        :meth:`scan_many` for large inputs -- it batches GNN inference and
+        can reuse a graph cache or a verdict registry across calls.
         """
         summary = ScanSummary()
         for index, code in enumerate(codes):
@@ -306,7 +295,6 @@ class ScamDetector:
                   platform: Optional[str] = None,
                   sample_ids: Optional[Sequence[str]] = None,
                   cache: Optional["GraphCache"] = None,
-                  max_workers: Optional[int] = None,
                   shards: int = 1,
                   registry: Optional["ScanRegistry"] = None
                   ) -> "BatchScanResult":
@@ -320,8 +308,6 @@ class ScamDetector:
             cache: Optional :class:`~repro.service.cache.GraphCache`; attach
                 the same cache across calls to skip re-lowering repeated
                 bytecode.
-            max_workers: Worker threads for frontend lowering (defaults to
-                the executor's heuristic).
             shards: Scan worker *processes*; ``>= 2`` shards the scan
                 across a :class:`~repro.service.sharded.ShardedScanner`
                 pool by content hash (verdicts stay bit-identical to
@@ -342,8 +328,8 @@ class ScamDetector:
         from repro.service.batch import BatchScanner
 
         previous_cache = self.pipeline.graph_cache
-        scanner = BatchScanner(self, cache=cache, max_workers=max_workers,
-                               shards=shards, registry=registry)
+        scanner = BatchScanner(self, cache=cache, shards=shards,
+                               registry=registry)
         try:
             return scanner.scan_codes(codes, platform=platform,
                                       sample_ids=sample_ids)
@@ -356,7 +342,6 @@ class ScamDetector:
     def scan_directory(self, directory, pattern: str = "*",
                        platform: Optional[str] = None,
                        cache: Optional["GraphCache"] = None,
-                       max_workers: Optional[int] = None,
                        shards: int = 1,
                        registry: Optional["ScanRegistry"] = None,
                        recursive: bool = True) -> "BatchScanResult":
@@ -373,8 +358,8 @@ class ScamDetector:
         from repro.service.batch import BatchScanner
 
         previous_cache = self.pipeline.graph_cache
-        scanner = BatchScanner(self, cache=cache, max_workers=max_workers,
-                               shards=shards, registry=registry)
+        scanner = BatchScanner(self, cache=cache, shards=shards,
+                               registry=registry)
         try:
             return scanner.scan_directory(directory, pattern=pattern,
                                           platform=platform,

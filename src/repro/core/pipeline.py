@@ -13,6 +13,7 @@ from repro.datasets.corpus import ContractSample, Corpus
 from repro.gnn.data import ContractGraph, cfg_to_graph
 from repro.gnn.model import GraphClassifier
 from repro.gnn.training import GNNTrainer
+from repro.ir.cfg import ControlFlowGraph
 from repro.ir.features import NUM_STRUCTURAL_FEATURES, SEMANTIC_MARKERS
 from repro.ir.normalization import CATEGORY_VOCABULARY
 from repro.ml.metrics import classification_summary
@@ -93,12 +94,17 @@ class ScamDetectPipeline:
         cache on a hit and stored into it on a miss; cached graphs are
         bit-identical to freshly lowered ones.
         """
+        return self._lower(sample)[0]
+
+    def _lower(self, sample: ContractSample
+               ) -> Tuple[ContractGraph, Optional[ControlFlowGraph]]:
+        """``(graph, cfg)`` of one sample; ``cfg`` is None on a cache hit."""
         cache = self.graph_cache
         if cache is not None:
             cached = cache.get(sample.bytecode, sample.platform,
                                label=sample.label, sample_id=sample.sample_id)
             if cached is not None:
-                return cached
+                return cached, None
         frontend = get_frontend(sample.platform)
         cfg = frontend.build_cfg(sample.bytecode, name=sample.sample_id)
         graph = cfg_to_graph(cfg, label=sample.label, sample_id=sample.sample_id,
@@ -108,7 +114,7 @@ class ScamDetectPipeline:
                              max_nodes=self.config.max_nodes)
         if cache is not None:
             cache.put(sample.bytecode, sample.platform, graph)
-        return graph
+        return graph, cfg
 
     def corpus_to_graphs(self, corpus: Corpus) -> List[ContractGraph]:
         """Lower a whole corpus into graphs (cache-aware, order-preserving)."""
@@ -195,31 +201,24 @@ class ScamDetectPipeline:
 
     def analyse_bytecode(self, code: bytes, platform: Optional[str] = None,
                          sample_id: str = "contract"
-                         ) -> Tuple[ContractGraph, str]:
-        """Lower raw contract code into a graph; returns (graph, platform).
+                         ) -> Tuple[ContractGraph, Optional[ControlFlowGraph]]:
+        """Lower raw contract code; returns ``(graph, cfg)``.
 
         Args:
             code: Raw bytecode bytes.
             platform: "evm" or "wasm"; sniffed from the code when omitted.
             sample_id: Identifier carried into the graph for traceability.
 
-        The lowering goes through :meth:`sample_to_graph`, so an attached
-        ``graph_cache`` short-circuits repeated analyses of the same code.
+        The lowering goes through :meth:`sample_to_graph`'s cache-aware
+        path, so an attached ``graph_cache`` short-circuits repeated
+        analyses of the same code.  ``cfg`` is the control-flow graph the
+        lowering built (the scan engine's explain notes come from it), or
+        None when the graph came from the cache.
         """
         resolved_platform = platform or detect_platform(code)
         sample = ContractSample(sample_id=sample_id, platform=resolved_platform,
                                 bytecode=bytes(code), label=0, family="unknown")
-        return self.sample_to_graph(sample), resolved_platform
-
-    def predict_bytecode(self, code: bytes, platform: Optional[str] = None
-                         ) -> Tuple[int, float, ContractGraph, str]:
-        """Predict on raw bytecode; returns (label, p_malicious, graph, platform)."""
-        if self._trainer is None:
-            raise RuntimeError("pipeline used before fit")
-        graph, resolved_platform = self.analyse_bytecode(code, platform)
-        probabilities = self._trainer.predict_proba([graph])[0]
-        label = int(np.argmax(probabilities))
-        return label, float(probabilities[1]), graph, resolved_platform
+        return self._lower(sample)
 
     def describe(self) -> str:
         """One-line description of the fitted model (or the configuration)."""

@@ -563,7 +563,6 @@ class E8Config:
     num_layers: int = 1
     hidden_features: int = 16
     cache_capacity: int = 4096
-    max_workers: Optional[int] = None
     seed: int = 0
 
 
@@ -602,8 +601,7 @@ def run_e8_scan_throughput(config: Optional[E8Config] = None) -> ExperimentResul
 
     cache = GraphCache.for_config(detector.config,
                                   capacity=config.cache_capacity)
-    scanner = BatchScanner(detector, cache=cache,
-                           max_workers=config.max_workers)
+    scanner = BatchScanner(detector, cache=cache)
     cold = scanner.scan_codes(codes, sample_ids=ids)
     warm = scanner.scan_codes(codes, sample_ids=ids)
 
@@ -842,7 +840,7 @@ def run_e10_sharded_throughput(config: Optional[E10Config] = None) -> Experiment
 
     # single-process oracle (no cache): the verdicts every sharded run
     # must reproduce byte-for-byte
-    oracle_scanner = BatchScanner(detector, max_workers=1)
+    oracle_scanner = BatchScanner(detector)
     single_seconds = float("inf")
     for _ in range(repeats):
         started = time.perf_counter()
@@ -1112,7 +1110,7 @@ def run_e12_cascade_throughput(config: Optional[E12Config] = None) -> Experiment
         # attached, so every repeat is a cold scan and best-of-repeats
         # measures steady-state code paths, not page-cache luck
         detector.cascade = cascade
-        scanner = BatchScanner(detector, max_workers=1)
+        scanner = BatchScanner(detector)
         best = float("inf")
         for _ in range(repeats):
             started = time.perf_counter()
@@ -1261,8 +1259,7 @@ def run_e13_chaos_resilience(
     ids = [sample.sample_id for sample in corpus]
 
     # fault-free oracle: the verdicts every chaos scenario must reproduce
-    oracle = BatchScanner(detector, max_workers=1).scan_codes(
-        codes, sample_ids=ids)
+    oracle = BatchScanner(detector).scan_codes(codes, sample_ids=ids)
     oracle_dicts = [report.to_dict() for report in oracle.reports]
 
     def mismatches(reports) -> int:
@@ -1342,8 +1339,7 @@ def run_e13_chaos_resilience(
     with tempfile.TemporaryDirectory(prefix="e13-cache-") as cache_dir:
         cache = GraphCache(detector.config.graph_fingerprint(),
                            disk_dir=cache_dir)
-        BatchScanner(detector, cache=cache,
-                     max_workers=1).scan_codes(codes, sample_ids=ids)
+        BatchScanner(detector, cache=cache).scan_codes(codes, sample_ids=ids)
         with fault_plan(FaultPlan(specs=(
                 FaultSpec(site="cache.disk_read", kind="corrupt",
                           probability=0.4),),
@@ -1354,8 +1350,7 @@ def run_e13_chaos_resilience(
             # fresh memory tier: every lookup goes through the disk tier
             cold = GraphCache(detector.config.graph_fingerprint(),
                               disk_dir=cache_dir)
-            result = BatchScanner(detector, cache=cold,
-                                  max_workers=1).scan_codes(
+            result = BatchScanner(detector, cache=cold).scan_codes(
                 codes, sample_ids=ids)
             finish("cache-corrupt", started,
                    len(result.reports) / len(codes),
@@ -1373,8 +1368,7 @@ def run_e13_chaos_resilience(
                 _warnings.catch_warnings():
             _warnings.simplefilter("ignore")
             started = time.perf_counter()
-            result = BatchScanner(detector, max_workers=1,
-                                  registry=registry).scan_codes(
+            result = BatchScanner(detector, registry=registry).scan_codes(
                 codes, sample_ids=ids)
             telemetry["registry_write_retries"] += float(
                 active_injector().fired_total())
@@ -1963,19 +1957,20 @@ def run_e15_event_ingest(config: Optional[E15Config] = None) -> ExperimentResult
 class E16Config:
     """Workload of the E16 tracing-overhead experiment.
 
-    The same per-contract scan loop runs four timed passes over one
-    corpus -- two with tracing disarmed, two with a tracer armed -- each
-    on a fresh :class:`~repro.service.batch.BatchScanner` and graph
-    cache, so every pass performs identical cold-scan work.  Taking the
-    best pass per mode filters scheduler noise; the disarmed best/worst
-    ratio doubles as the jitter yardstick the armed ratio is judged
-    against.
+    The same per-contract scan loop runs in interleaved pairs of timed
+    passes over one corpus -- a disarmed pass, then an armed one -- each on
+    a fresh :class:`~repro.service.batch.BatchScanner` and graph cache, so
+    every pass performs identical cold-scan work.  The gated overhead is
+    the median of the per-pair armed/disarmed ratios: pairing cancels slow
+    host drift, and the median discards the pairs a scheduler hiccup
+    spoiled.  The jitter yardstick is the median max/min ratio of
+    consecutive disarmed passes.
     """
 
     # same 240-contract scale as E10/E11/E15, so the service benches compare
     num_samples: int = 240
     warmup_samples: int = 40
-    passes_per_mode: int = 2
+    pairs: int = 9
     epochs: int = 6
     num_layers: int = 1
     hidden_features: int = 16
@@ -1992,14 +1987,16 @@ def run_e16_observability(
 
     The acceptance claims: (1) with no tracer armed the instrumented scan
     stack is statistically indistinguishable from an uninstrumented one
-    (``disarmed_overhead_ratio``, best-vs-worst of repeated disarmed
-    passes, stays at repeat-jitter level -- and the seed-gated E8/E12
-    throughputs hold); (2) an armed tracer costs at most 10% wall clock
-    (``armed_overhead_ratio``); (3) span accounting is exact over a
+    (``disarmed_overhead_ratio``, the median max/min ratio of consecutive
+    disarmed passes, stays at repeat-jitter level -- and the seed-gated
+    E8/E12 throughputs hold); (2) an armed tracer costs at most 10% wall
+    clock (``armed_overhead_ratio``, the median per-pair armed/disarmed
+    ratio); (3) span accounting is exact over a
     240-contract run: every scan yields exactly one trace, no orphan
     spans, and every same-thread child nests inside its parent; (4) armed
     and disarmed passes produce identical verdicts.
     """
+    import statistics
     import time
 
     from repro.core.detector import ScamDetector
@@ -2007,6 +2004,8 @@ def run_e16_observability(
     from repro.service import BatchScanner, GraphCache
 
     config = config or E16Config()
+    if config.pairs < 2:
+        raise ValueError("E16 needs at least 2 pairs for its jitter yardstick")
     corpus = CorpusGenerator(GeneratorConfig(
         platform="evm", num_samples=config.num_samples,
         label_noise=0.0, seed=config.seed)).generate("e16-corpus")
@@ -2038,20 +2037,14 @@ def run_e16_observability(
     scan_pass(samples[:config.warmup_samples])
 
     disarmed_seconds: list = []
-    disarmed_reports: list = []
-    for _ in range(config.passes_per_mode):
-        seconds, reports = scan_pass(samples)
-        disarmed_seconds.append(seconds)
-        disarmed_reports = reports
-
     armed_seconds: list = []
-    armed_reports: list = []
     span_records: list = []
-    for index in range(config.passes_per_mode):
+    for index in range(config.pairs):
+        seconds, disarmed_reports = scan_pass(samples)
+        disarmed_seconds.append(seconds)
         with tracing() as tracer:
-            seconds, reports = scan_pass(samples)
+            seconds, armed_reports = scan_pass(samples)
         armed_seconds.append(seconds)
-        armed_reports = reports
         if index == 0:
             span_records = tracer.drain()
 
@@ -2067,32 +2060,31 @@ def run_e16_observability(
                   + invariants["orphan_spans"]
                   + abs(invariants["traces"] - config.num_samples))
 
-    disarmed_best = min(disarmed_seconds)
-    disarmed_worst = max(disarmed_seconds)
-    armed_best = min(armed_seconds)
+    armed_ratio = statistics.median(
+        armed / disarmed
+        for armed, disarmed in zip(armed_seconds, disarmed_seconds))
+    jitter = statistics.median(
+        max(pair) / min(pair)
+        for pair in zip(disarmed_seconds, disarmed_seconds[1:]))
+    disarmed_median = statistics.median(disarmed_seconds)
+    armed_median = statistics.median(armed_seconds)
 
     result = ExperimentResult(
         experiment_id="E16",
         title="Observability: tracing overhead + span accounting")
     result.rows = [
         {"mode": "disarmed", "contracts": config.num_samples,
-         "seconds": disarmed_best,
-         "contracts_per_second": (config.num_samples / disarmed_best
-                                  if disarmed_best else 0.0)},
+         "seconds": disarmed_median,
+         "contracts_per_second": config.num_samples / disarmed_median},
         {"mode": "armed", "contracts": config.num_samples,
-         "seconds": armed_best,
-         "contracts_per_second": (config.num_samples / armed_best
-                                  if armed_best else 0.0)},
+         "seconds": armed_median,
+         "contracts_per_second": config.num_samples / armed_median},
     ]
     result.summary = {
-        "disarmed_contracts_per_second": (
-            config.num_samples / disarmed_best if disarmed_best else 0.0),
-        "armed_contracts_per_second": (
-            config.num_samples / armed_best if armed_best else 0.0),
-        "armed_overhead_ratio": (armed_best / disarmed_best
-                                 if disarmed_best else float("inf")),
-        "disarmed_overhead_ratio": (disarmed_worst / disarmed_best
-                                    if disarmed_best else float("inf")),
+        "disarmed_contracts_per_second": config.num_samples / disarmed_median,
+        "armed_contracts_per_second": config.num_samples / armed_median,
+        "armed_overhead_ratio": armed_ratio,
+        "disarmed_overhead_ratio": jitter,
         "traces": float(invariants["traces"]),
         "spans": float(invariants["spans"]),
         "span_accounting_mismatches": float(accounting),
@@ -2100,9 +2092,11 @@ def run_e16_observability(
         "verdict_mismatches": float(verdict_mismatches),
     }
     result.notes.append(
-        "overhead ratios compare the best pass per mode on identical "
-        "cold-cache per-contract scan loops; disarmed_overhead_ratio is "
-        "the repeat-jitter yardstick (best vs worst disarmed pass)")
+        f"armed_overhead_ratio is the median armed/disarmed ratio over "
+        f"{config.pairs} interleaved pairs of identical cold-cache "
+        f"per-contract scan loops; disarmed_overhead_ratio is the "
+        f"repeat-jitter yardstick (median max/min of consecutive disarmed "
+        f"passes)")
     result.notes.append(
         f"the bench asserts armed_overhead_ratio <= "
         f"{config.armed_overhead_cap:g}; the *_mismatches counters are "

@@ -142,8 +142,8 @@ class EventIngestService:
     """Event -> queue -> drain pipeline over the batch scan stack.
 
     Args:
-        detector: A trained detector (fingerprint-checked against
-            ``registry`` exactly like ``WatchDaemon``).
+        detector: A trained detector (its scan engine checks the
+            ``registry`` fingerprint scope).
         registry: Persistent verdict store; also backs enqueue-time
             classification and dedupe.
         roots: Zero or more watch roots.  Empty means *push-only* (the
@@ -156,7 +156,7 @@ class EventIngestService:
         queue_capacity: Bound of the ingest queue (the backpressure knob).
         batch_size: Max items per drain batch (one scanner call each).
         backend: ``"auto"`` | ``"inotify"`` | ``"poll"`` watcher choice.
-        cache / max_workers / shards: Forwarded to ``BatchScanner``.
+        cache / shards: Forwarded to ``BatchScanner``.
         retry_after_s: Advisory retry delay carried by
             :class:`IngestQueueFull` (the 503 Retry-After value).
     """
@@ -173,7 +173,6 @@ class EventIngestService:
         batch_size: int = 64,
         backend: str = "auto",
         cache=None,
-        max_workers: Optional[int] = None,
         shards: int = 1,
         retry_after_s: float = 1.0,
     ) -> None:
@@ -181,15 +180,6 @@ class EventIngestService:
             raise RuntimeError("EventIngestService requires a trained detector")
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        fingerprint = detector.config.graph_fingerprint()
-        if registry.fingerprint and registry.fingerprint != fingerprint:
-            raise ValueError(
-                f"registry fingerprint {registry.fingerprint!r} does not "
-                f"match the detector config's {fingerprint!r}; open the "
-                f"registry with ScanRegistry.for_config(path, "
-                f"detector.config)"
-            )
-        registry.fingerprint = fingerprint
         self.detector = detector
         self.registry = registry
         self.roots = [pathlib.Path(root).resolve() for root in roots]
@@ -200,7 +190,6 @@ class EventIngestService:
         self.scanner = BatchScanner(
             detector,
             cache=cache,
-            max_workers=max_workers,
             shards=shards,
             registry=registry,
         )

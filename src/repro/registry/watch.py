@@ -183,7 +183,6 @@ class WatchDaemon:
         interval: Seconds between poll cycles in :meth:`run`.
         cache: Optional :class:`~repro.service.cache.GraphCache` for the
             scanner (useful when the same host also serves scan traffic).
-        max_workers: Lowering threads per scan (see ``BatchScanner``).
         shards: Scan worker processes; ``>= 2`` shards each cycle's unseen
             contracts across a multi-process pool.
     """
@@ -198,22 +197,12 @@ class WatchDaemon:
         rules: Optional[RulesEngine] = None,
         interval: float = 2.0,
         cache=None,
-        max_workers: Optional[int] = None,
         shards: int = 1,
     ) -> None:
         if not detector.is_trained:
             raise RuntimeError("WatchDaemon requires a trained detector")
         if interval <= 0:
             raise ValueError("interval must be > 0 seconds")
-        fingerprint = detector.config.graph_fingerprint()
-        if registry.fingerprint and registry.fingerprint != fingerprint:
-            raise ValueError(
-                f"registry fingerprint {registry.fingerprint!r} does not "
-                f"match the detector config's {fingerprint!r}; open the "
-                f"registry with ScanRegistry.for_config(path, "
-                f"detector.config)"
-            )
-        registry.fingerprint = fingerprint
         self.detector = detector
         self.registry = registry
         self.directory = pathlib.Path(directory)
@@ -228,7 +217,6 @@ class WatchDaemon:
         self.scanner = BatchScanner(
             detector,
             cache=cache,
-            max_workers=max_workers,
             shards=shards,
             registry=registry,
         )

@@ -1,26 +1,24 @@
-"""Batch scanning: parallel frontend lowering + batched GNN inference.
+"""Batch scanning: many contracts per call through the scan engine.
 
 :class:`BatchScanner` is the service-layer driver behind
 :meth:`ScamDetector.scan_many` and :meth:`ScamDetector.scan_directory`.  It
-splits a scan into the stages that actually dominate wall-clock time and
-optimises each one:
-
-1. **Lowering** (bytecode -> CFG -> graph) runs across a
-   :class:`concurrent.futures.ThreadPoolExecutor`, consulting the shared
-   :class:`~repro.service.cache.GraphCache` first so repeated bytecode --
-   factory clones, re-submissions, re-audits -- is lowered exactly once.
-2. **Inference** runs on the vectorized batched-graph engine: every chunk of
-   ``inference_batch_size`` graphs is packed into one block-diagonal
-   :class:`~repro.gnn.data.GraphBatch` and scored with a single model call,
-   instead of one Python-level forward pass per contract.
-3. **Reporting** reuses :meth:`ScamDetector.build_report`, which is what
-   makes batch verdicts identical to single-contract ``scan`` verdicts
-   (scores are quantized there, so verdicts are batch-invariant).
+gathers inputs (bytecode, a corpus or a directory walk), runs them through
+one :class:`~repro.core.engine.ScanEngine` call and wraps the outcome in a
+:class:`BatchScanResult` with throughput telemetry.  The engine lowers each
+contract once through the shared :class:`~repro.service.cache.GraphCache`
+(repeated bytecode -- factory clones, re-submissions, re-audits -- is lowered
+exactly once) and scores every chunk of ``inference_batch_size`` graphs
+with one block-diagonal :class:`~repro.gnn.data.GraphBatch` model call.
+Lowering is pure-Python and GIL-bound, so it runs serially in-process;
+``shards >= 2`` parallelises it across the
+:class:`~repro.service.sharded.ShardedScanner` process pool instead.
+Verdicts are identical to single-contract ``scan`` verdicts because every
+entry point composes them through the same engine and
+:meth:`ScamDetector.build_report`.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import pathlib
 import time
 import warnings
@@ -28,10 +26,9 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.detector import BytecodeLike, ScamDetector, coerce_bytecode
-from repro.core.frontends import detect_platform
+from repro.core.engine import ScanEngine, ScanOutcome
 from repro.core.report import ScanSummary
-from repro.gnn.data import ContractGraph
-from repro.obs.trace import carrier, trace, trace_from
+from repro.obs.trace import trace
 from repro.service.cache import CacheStats, DISK_META_FILENAME, GraphCache
 
 PathLike = Union[str, pathlib.Path]
@@ -196,7 +193,8 @@ class BatchScanResult(ScanSummary):
     Attributes:
         reports: Per-contract verdict reports, in input order.
         elapsed_seconds: Wall-clock time of the whole batch scan.
-        num_workers: Worker threads used for lowering.
+        num_workers: Processes that scanned: 1 in-process, the shard count
+            when a :class:`~repro.service.sharded.ShardedScanner` pool ran.
         cache_stats: Snapshot of the cache counters accumulated during this
             scan (zeros when no cache was attached).
         batch_sizes: Histogram of GNN inference batch sizes in this scan
@@ -229,6 +227,23 @@ class BatchScanResult(ScanSummary):
     shard_stats: Dict[str, Dict[str, object]] = field(default_factory=dict)
     registry_hits: int = 0
     cascade_stats: Optional[Dict[str, int]] = None
+
+    @classmethod
+    def from_outcome(
+        cls, outcome: ScanOutcome, num_workers: int, elapsed_seconds: float
+    ) -> "BatchScanResult":
+        """Wrap one :class:`~repro.core.engine.ScanOutcome` with timing."""
+        cache_stats = outcome.cache_stats
+        return cls(
+            reports=outcome.reports,
+            elapsed_seconds=elapsed_seconds,
+            num_workers=num_workers,
+            cache_stats=cache_stats if cache_stats is not None else CacheStats(),
+            batch_sizes=outcome.batch_sizes,
+            shard_stats=outcome.shard_stats,
+            registry_hits=outcome.registry_hits,
+            cascade_stats=outcome.cascade_stats,
+        )
 
     @property
     def contracts_per_second(self) -> float:
@@ -299,7 +314,86 @@ class BatchScanResult(ScanSummary):
         return "\n".join(lines)
 
 
-class BatchScanner:
+class ScanEntryPoints:
+    """``scan_codes`` / ``scan_corpus`` / ``scan_directory`` over one
+    ``_scan_raw(raw_codes, ids, platforms)``.
+
+    Shared by :class:`BatchScanner` and
+    :class:`~repro.service.sharded.ShardedScanner`, so both gather inputs
+    identically.
+    """
+
+    def _scan_raw(
+        self,
+        raw_codes: List[bytes],
+        ids: List[str],
+        platforms: List[Optional[str]],
+    ) -> BatchScanResult:
+        raise NotImplementedError
+
+    def scan_codes(
+        self,
+        codes: Iterable[BytecodeLike],
+        platform: Optional[str] = None,
+        sample_ids: Optional[Sequence[str]] = None,
+    ) -> BatchScanResult:
+        """Scan an iterable of bytecode inputs; reports keep input order."""
+        raw_codes = [coerce_bytecode(code) for code in codes]
+        if sample_ids is not None and len(sample_ids) != len(raw_codes):
+            raise ValueError("sample_ids length must match codes")
+        ids = (
+            list(sample_ids)
+            if sample_ids is not None
+            else [
+                f"contract-{index:04d}" for index in range(len(raw_codes))
+            ]
+        )
+        return self._scan_raw(raw_codes, ids, [platform] * len(raw_codes))
+
+    def scan_corpus(self, corpus) -> BatchScanResult:
+        """Scan every sample of a corpus (corpus labels are ignored)."""
+        samples = list(corpus)
+        return self._scan_raw(
+            [sample.bytecode for sample in samples],
+            [sample.sample_id for sample in samples],
+            [sample.platform for sample in samples],
+        )
+
+    def scan_directory(
+        self,
+        directory: PathLike,
+        pattern: str = "*",
+        platform: Optional[str] = None,
+        recursive: bool = True,
+    ) -> BatchScanResult:
+        """Scan every bytecode file under ``directory`` matching ``pattern``.
+
+        ``.hex`` files are parsed as hex text (``0x`` prefix and line wraps
+        allowed); everything else is read as raw binary.  Sample ids are the
+        paths relative to ``directory``.  Hidden files, the graph cache's
+        own files (``cache-meta.json``, ``*.npz``) and SQLite registries
+        are skipped, so pointing this at a directory that also holds a
+        cache tier or verdict registry is safe.  ``recursive=False``
+        restricts the walk to the top level; ``pattern`` may contain ``/``
+        to filter by subdirectory.
+
+        A file that cannot be read, is empty, or (for ``.hex``) does not
+        decode is *skipped with a warning* instead of aborting the whole
+        batch -- one corrupt submission must not take down a triage run.
+        Skipped files are listed in :attr:`BatchScanResult.skipped`.
+
+        Raises:
+            FileNotFoundError: If ``directory`` does not exist.
+        """
+        raw_codes, ids, skipped = collect_directory_inputs(
+            directory, pattern, recursive=recursive
+        )
+        result = self._scan_raw(raw_codes, ids, [platform] * len(raw_codes))
+        result.skipped = skipped
+        return result
+
+
+class BatchScanner(ScanEntryPoints):
     """Drives high-volume scans against a trained :class:`ScamDetector`.
 
     Args:
@@ -310,17 +404,12 @@ class BatchScanner:
             ``ScamDetector.scan_many`` / ``scan_directory`` restore the
             previous cache when they finish).  Must match the pipeline
             config's graph fingerprint (use :meth:`GraphCache.for_config`).
-        max_workers: Lowering threads; None uses the executor default, and
-            values <= 1 lower inline without an executor.  Pure-Python
-            lowering is GIL-bound, so the thread pool mainly helps when
-            lowering releases the GIL (NumPy-heavy graphs) or waits on the
-            disk cache tier; for small hot corpora ``max_workers=1`` can be
-            the fastest cold-scan setting.
         inference_batch_size: Graphs per batched model call (bounds the peak
             size of the stacked node-feature matrix on very large corpora).
         shards: Number of scan worker *processes*.  The default (1) runs
-            everything in this process; ``shards >= 2`` routes scans through
-            a :class:`~repro.service.sharded.ShardedScanner` pool that
+            everything in this process, lowering serially; ``shards >= 2``
+            hands registry misses to a
+            :class:`~repro.service.sharded.ShardedScanner` pool that
             partitions contracts by content hash across pipeline replicas,
             escaping the GIL for the CPU-bound lowering path.  Workers can
             only share a cache through its *disk* tier -- attach a
@@ -341,7 +430,6 @@ class BatchScanner:
         self,
         detector: ScamDetector,
         cache: Optional[GraphCache] = None,
-        max_workers: Optional[int] = None,
         inference_batch_size: int = 256,
         shards: int = 1,
         registry=None,
@@ -351,27 +439,21 @@ class BatchScanner:
         # fail fast when the cascade is enabled but the pipeline carries no
         # trained head (raises RuntimeError), instead of on the first scan
         detector.cascade_head()
-        if inference_batch_size < 1:
-            raise ValueError("inference_batch_size must be >= 1")
         if shards < 1:
             raise ValueError("shards must be >= 1")
         self.detector = detector
         if cache is not None:
             detector.pipeline.set_graph_cache(cache)
         self.cache = detector.pipeline.graph_cache
-        self.max_workers = max_workers
         self.inference_batch_size = inference_batch_size
         self.shards = shards
         self._sharded = None
-        if registry is not None:
-            fingerprint = detector.config.graph_fingerprint()
-            if registry.fingerprint and registry.fingerprint != fingerprint:
-                raise ValueError(
-                    f"registry fingerprint {registry.fingerprint!r} does "
-                    f"not match this detector config's {fingerprint!r}; a "
-                    f"fingerprint change must never serve stale verdicts"
-                )
-            registry.fingerprint = fingerprint
+        self._engine = ScanEngine(
+            detector,
+            registry=registry,
+            pool=self._pool_run if shards > 1 else None,
+            inference_batch_size=inference_batch_size,
+        )
         self.registry = registry
 
     # ------------------------------------------------------------------ #
@@ -412,6 +494,9 @@ class BatchScanner:
             )
         return self._sharded
 
+    def _pool_run(self, raw_codes, ids, platforms) -> ScanOutcome:
+        return self._sharded_scanner().run(raw_codes, ids, platforms)
+
     def close(self) -> None:
         """Shut down the sharded worker pool, if one was started."""
         if self._sharded is not None:
@@ -426,296 +511,17 @@ class BatchScanner:
 
     # ------------------------------------------------------------------ #
 
-    def scan_codes(
-        self,
-        codes: Iterable[BytecodeLike],
-        platform: Optional[str] = None,
-        sample_ids: Optional[Sequence[str]] = None,
-    ) -> BatchScanResult:
-        """Scan an iterable of bytecode inputs; reports keep input order."""
-        raw_codes = [coerce_bytecode(code) for code in codes]
-        if sample_ids is not None and len(sample_ids) != len(raw_codes):
-            raise ValueError("sample_ids length must match codes")
-        ids = (
-            list(sample_ids)
-            if sample_ids is not None
-            else [
-                f"contract-{index:04d}" for index in range(len(raw_codes))
-            ]
-        )
-        return self._scan_raw(raw_codes, ids, platform)
-
-    def scan_corpus(self, corpus) -> BatchScanResult:
-        """Scan every sample of a corpus (corpus labels are ignored)."""
-        samples = list(corpus)
-        return self._scan_raw(
-            [sample.bytecode for sample in samples],
-            [sample.sample_id for sample in samples],
-            platform=None,
-            platforms=[sample.platform for sample in samples],
-        )
-
-    def scan_directory(
-        self,
-        directory: PathLike,
-        pattern: str = "*",
-        platform: Optional[str] = None,
-        recursive: bool = True,
-    ) -> BatchScanResult:
-        """Scan every bytecode file under ``directory`` matching ``pattern``.
-
-        ``.hex`` files are parsed as hex text (``0x`` prefix and line wraps
-        allowed); everything else is read as raw binary.  Sample ids are the
-        paths relative to ``directory``.  Hidden files, the graph cache's
-        own files (``cache-meta.json``, ``*.npz``) and SQLite registries
-        are skipped, so pointing this at a directory that also holds a
-        cache tier or verdict registry is safe.  ``recursive=False``
-        restricts the walk to the top level; ``pattern`` may contain ``/``
-        to filter by subdirectory.
-
-        A file that cannot be read, is empty, or (for ``.hex``) does not
-        decode is *skipped with a warning* instead of aborting the whole
-        batch -- one corrupt submission must not take down a triage run.
-        Skipped files are listed in :attr:`BatchScanResult.skipped`.
-
-        Raises:
-            FileNotFoundError: If ``directory`` does not exist.
-        """
-        raw_codes, ids, skipped = collect_directory_inputs(
-            directory, pattern, recursive=recursive
-        )
-        result = self._scan_raw(raw_codes, ids, platform)
-        result.skipped = skipped
-        return result
-
-    # ------------------------------------------------------------------ #
-
     def _scan_raw(
         self,
         raw_codes: List[bytes],
         ids: List[str],
-        platform: Optional[str],
-        platforms: Optional[List[str]] = None,
+        platforms: List[Optional[str]],
     ) -> BatchScanResult:
         # obs root: one batch scan = one trace.  When an enclosing span is
         # already active on this thread (a server request, an ingest drain)
         # this nests as a child of that trace instead of starting a new one.
         with trace("batch.scan", root=True, contracts=len(raw_codes)):
-            return self._scan_routed(raw_codes, ids, platform, platforms)
-
-    def _scan_routed(
-        self,
-        raw_codes: List[bytes],
-        ids: List[str],
-        platform: Optional[str],
-        platforms: Optional[List[str]] = None,
-    ) -> BatchScanResult:
-        if self.registry is None:
-            return self._scan_fresh(raw_codes, ids, platform, platforms)
-        # deferred import: repro.registry.watch imports this module, so a
-        # top-level import here would be circular
-        from repro.registry.store import content_sha256
-
-        started = time.perf_counter()
-        shas = [content_sha256(raw) for raw in raw_codes]
-        # weight-level identity, not the architecture label: a retrained
-        # model with identical hyper-parameters must never be served the
-        # old model's verdicts -- and the identity also carries the active
-        # cascade configuration, so tier-0 short-circuit verdicts are never
-        # served to a GNN-only scan of the same bundle (or vice versa)
-        identity = self.detector.model_identity()
-        rows = self.registry.get_many(shas)
-        hit_rows = {}
-        miss: List[int] = []
-        for index, sha in enumerate(shas):
-            row = rows.get(sha)
-            # a row is only reusable when it was produced by the very same
-            # weights under the same explain setting -- anything else could
-            # serve a stale score or mismatched notes
-            if (
-                row is not None
-                and row.model_identity == identity
-                and row.explained == self.detector.explain
-            ):
-                hit_rows[index] = row
-            else:
-                miss.append(index)
-        fresh = self._scan_fresh(
-            [raw_codes[index] for index in miss],
-            [ids[index] for index in miss],
-            platform,
-            (
-                [platforms[index] for index in miss]
-                if platforms is not None
-                else None
-            ),
-        )
-        if miss:
-            self.registry.record_many(
-                [
-                    (shas[index], report, ids[index])
-                    for index, report in zip(miss, fresh.reports)
-                ],
-                explained=self.detector.explain,
-                model_identity=identity,
-            )
-        result = BatchScanResult(
-            num_workers=fresh.num_workers,
-            batch_sizes=fresh.batch_sizes,
-            cache_stats=fresh.cache_stats,
-            shard_stats=fresh.shard_stats,
-            registry_hits=len(hit_rows),
-            cascade_stats=fresh.cascade_stats,
-        )
-        fresh_reports = iter(fresh.reports)
-        threshold = self.detector.threshold
-        for index in range(len(raw_codes)):
-            row = hit_rows.get(index)
-            if row is None:
-                result.reports.append(next(fresh_reports))
-                continue
-            # rebind the caller's sample id and re-apply the *current*
-            # threshold to the stored probability, exactly as build_report
-            # would -- a threshold tweak must not require a re-scan
-            report = row.to_report(sample_id=ids[index])
-            report.label = int(report.malicious_probability >= threshold)
-            result.reports.append(report)
-        result.elapsed_seconds = time.perf_counter() - started
-        return result
-
-    def _scan_fresh(
-        self,
-        raw_codes: List[bytes],
-        ids: List[str],
-        platform: Optional[str],
-        platforms: Optional[List[str]] = None,
-    ) -> BatchScanResult:
-        if self.shards > 1 and raw_codes:
-            return self._sharded_scanner()._scan_raw(
-                raw_codes, ids, platform, platforms=platforms
-            )
-        pipeline = self.detector.pipeline
-        stats_before = self._stats_snapshot()
-        started = time.perf_counter()
-
-        def resolve(index: int) -> str:
-            if platforms is not None:
-                return platforms[index]
-            return platform or detect_platform(raw_codes[index])
-
-        # tier 0: the cascade pre-filter (when enabled on the detector)
-        # scores every contract from raw bytes and lets confident-benign
-        # ones skip lowering + inference entirely
-        decisions = None
-        resolved_platforms: List[str] = []
-        if raw_codes and self.detector.cascade:
-            resolved_platforms = [
-                resolve(index) for index in range(len(raw_codes))
-            ]
-            with trace("cascade.tier0", contracts=len(raw_codes)):
-                decisions = self.detector.cascade_decide(
-                    raw_codes, resolved_platforms
-                )
-        if decisions is None:
-            escalated = list(range(len(raw_codes)))
-            cascade_stats = None
-        else:
-            escalated = [
-                index
-                for index, decision in enumerate(decisions)
-                if not decision.short_circuit
-            ]
-            cascade_stats = {
-                "short_circuits": len(raw_codes) - len(escalated),
-                "escalations": len(escalated),
-                "disagreements": 0,
-            }
-
-        # captured before dispatch: lowering runs on executor threads that
-        # have no span context of their own, so each task re-joins this
-        # scan's trace explicitly (link="follows")
-        lowering_parent = carrier()
-
-        def lower(index: int) -> Tuple[ContractGraph, str]:
-            resolved = (
-                resolved_platforms[index]
-                if decisions is not None
-                else resolve(index)
-            )
-            with trace_from(lowering_parent, "lowering", sample=ids[index]):
-                graph, resolved = pipeline.analyse_bytecode(
-                    raw_codes[index], platform=resolved, sample_id=ids[index]
-                )
-            return graph, resolved
-
-        if not escalated:
-            lowered, num_workers = [], 0 if not raw_codes else 1
-        elif self.max_workers is not None and self.max_workers <= 1:
-            lowered = [lower(index) for index in escalated]
-            num_workers = 1
-        else:
-            with concurrent.futures.ThreadPoolExecutor(
-                max_workers=self.max_workers
-            ) as executor:
-                lowered = list(executor.map(lower, escalated))
-                num_workers = getattr(
-                    executor, "_max_workers", self.max_workers or 1
-                )
-
-        graphs = [graph for graph, _ in lowered]
-        probabilities: List[float] = []
-        batch_sizes: Dict[int, int] = {}
-        with trace("gnn.infer", graphs=len(graphs)):
-            for chunk in pipeline._trainer.iter_predict_proba(
-                graphs, batch_size=self.inference_batch_size
-            ):
-                batch_sizes[len(chunk)] = batch_sizes.get(len(chunk), 0) + 1
-                probabilities.extend(float(row[1]) for row in chunk)
-
-        result = BatchScanResult(
-            num_workers=num_workers,
-            batch_sizes=batch_sizes,
-            cascade_stats=cascade_stats,
-        )
-        scored: Dict[int, object] = {}
-        for position, index in enumerate(escalated):
-            graph, resolved = lowered[position]
-            report = self.detector.build_report(
-                raw_codes[index],
-                ids[index],
-                resolved,
-                probabilities[position],
-                graph,
-            )
-            if (
-                decisions is not None
-                and report.label == 1
-                and decisions[index].near_miss
-            ):
-                cascade_stats["disagreements"] += 1
-            scored[index] = report
-        for index in range(len(raw_codes)):
-            if index in scored:
-                result.reports.append(scored[index])
-            else:
-                result.reports.append(
-                    self.detector.build_prefilter_report(
-                        raw_codes[index],
-                        ids[index],
-                        resolved_platforms[index],
-                        decisions[index].probability,
-                    )
-                )
-        result.elapsed_seconds = time.perf_counter() - started
-        result.cache_stats = self._stats_delta(stats_before)
-        return result
-
-    # ------------------------------------------------------------------ #
-
-    def _stats_snapshot(self) -> CacheStats:
-        if self.cache is None:
-            return CacheStats()
-        return self.cache.stats.copy()
-
-    def _stats_delta(self, before: CacheStats) -> CacheStats:
-        return self._stats_snapshot().delta(before)
+            started = time.perf_counter()
+            outcome = self._engine.run(raw_codes, ids, platforms)
+            elapsed = time.perf_counter() - started
+        return BatchScanResult.from_outcome(outcome, self.shards, elapsed)

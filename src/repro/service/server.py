@@ -58,7 +58,8 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.detector import ScamDetector, coerce_bytecode
-from repro.core.frontends import detect_platform
+from repro.core.engine import ScanEngine
+from repro.core.report import VerdictReport
 from repro.gnn.data import ContractGraph
 from repro.ingest.queue import IngestQueueFull
 from repro.obs.prometheus import render_prometheus
@@ -179,13 +180,13 @@ class ServerMetrics:
             self.contracts += num_contracts
             self.malicious += num_malicious
 
-    def record_registry(self, hit: bool) -> None:
-        """Record one persistent-registry lookup on the scan path."""
+    def record_registry(self, hit: bool, count: int = 1) -> None:
+        """Record ``count`` persistent-registry lookups on the scan path."""
         with self._lock:
             if hit:
-                self.registry_hits += 1
+                self.registry_hits += count
             else:
-                self.registry_misses += 1
+                self.registry_misses += count
 
     def record_cascade(
         self, short_circuits: int, escalations: int, disagreements: int
@@ -1167,14 +1168,13 @@ class ScanServer:
             raise ValueError("workers must be >= 1")
         if shards < 1:
             raise ValueError("shards must be >= 1")
-        if registry is not None:
-            fingerprint = detector.config.graph_fingerprint()
-            if registry.fingerprint and registry.fingerprint != fingerprint:
-                raise ValueError(
-                    f"registry fingerprint {registry.fingerprint!r} does "
-                    f"not match this detector config's {fingerprint!r}"
-                )
-            registry.fingerprint = fingerprint
+        # built first: it rejects a registry scoped to another fingerprint
+        # before anything below touches the detector
+        self.engine = ScanEngine(
+            detector,
+            registry=registry,
+            infer=lambda graphs: self.coalescer.submit(graphs),
+        )
         self.registry = registry
         self.detector = detector
         if cache is None:
@@ -1315,187 +1315,40 @@ class ScanServer:
     # scoring entry points used by the HTTP handlers (and tests)
 
     def scan_one(self, raw: bytes, platform: Optional[str], sample_id: str):
-        """Report one contract: registry lookup, tier-0 pre-filter (when
-        the cascade is enabled), else coalesce-score."""
-        cached = self._registry_lookup(raw, sample_id)
-        if cached is not None:
-            self.metrics.record_verdicts(1, int(cached.is_malicious))
-            return cached
-        resolved = platform or detect_platform(raw)
-        with trace("cascade.tier0", contracts=1):
-            decisions = self.detector.cascade_decide([raw], [resolved])
-        if decisions is not None and decisions[0].short_circuit:
-            report = self.detector.build_prefilter_report(
-                raw, sample_id, resolved, decisions[0].probability
-            )
-            self._registry_record([(raw, report)])
-            self.metrics.record_verdicts(1, int(report.is_malicious))
-            self.metrics.record_cascade(1, 0, 0)
-            return report
-        with trace("lowering", sample=sample_id):
-            graph, resolved = self.detector.pipeline.analyse_bytecode(
-                raw, platform=resolved, sample_id=sample_id
-            )
-        probability = self.coalescer.submit([graph])[0]
-        report = self.detector.build_report(
-            raw, sample_id, resolved, probability, graph
-        )
-        self._registry_record([(raw, report)])
-        self.metrics.record_verdicts(1, int(report.is_malicious))
-        if decisions is not None:
-            self.metrics.record_cascade(
-                0, 1, int(report.label == 1 and decisions[0].near_miss)
-            )
-        return report
+        """Report one contract through the scan engine (registry, tier 0,
+        lowering, coalesced inference, report, registry record)."""
+        return self._scan([raw], [sample_id], [platform])[0]
 
     def scan_group(
         self, contracts: Sequence[Tuple[bytes, Optional[str], str]]
     ):
-        """Score one ``/v1/scan-batch`` request as a single group.
-
-        Contracts the registry already knows are answered directly; with
-        the cascade enabled, confident-benign remainders short-circuit as
-        ``stage: "prefilter"`` verdicts, and only the escalated rest is
-        lowered and submitted to the coalescer.
-        """
-        cached_reports = self._registry_lookup_many(
+        """Score one ``/v1/scan-batch`` request of ``(raw, platform,
+        sample_id)`` contracts as a single engine run: one registry query,
+        and one coalescer submission for the escalated contracts."""
+        return self._scan(
             [raw for raw, _, _ in contracts],
             [sample_id for _, _, sample_id in contracts],
+            [platform for _, platform, _ in contracts],
         )
-        reports: List = list(cached_reports)
-        misses = [
-            index for index, report in enumerate(reports) if report is None
-        ]
-        resolved_platforms = {
-            index: (
-                contracts[index][1] or detect_platform(contracts[index][0])
-            )
-            for index in misses
-        }
-        with trace("cascade.tier0", contracts=len(misses)):
-            decisions = self.detector.cascade_decide(
-                [contracts[index][0] for index in misses],
-                [resolved_platforms[index] for index in misses],
-            )
-        recorded = []
-        escalated = []
-        short_circuits = 0
-        for position, index in enumerate(misses):
-            raw, _, sample_id = contracts[index]
-            if decisions is not None and decisions[position].short_circuit:
-                report = self.detector.build_prefilter_report(
-                    raw,
-                    sample_id,
-                    resolved_platforms[index],
-                    decisions[position].probability,
-                )
-                reports[index] = report
-                recorded.append((raw, report))
-                short_circuits += 1
-            else:
-                escalated.append(position)
-        lowered = []
-        with trace("lowering", contracts=len(escalated)):
-            for position in escalated:
-                index = misses[position]
-                raw, _, sample_id = contracts[index]
-                graph, resolved = self.detector.pipeline.analyse_bytecode(
-                    raw,
-                    platform=resolved_platforms[index],
-                    sample_id=sample_id,
-                )
-                lowered.append(
-                    (index, raw, sample_id, resolved, graph, position)
-                )
-        probabilities = self.coalescer.submit(
-            [graph for _, _, _, _, graph, _ in lowered]
-        )
-        disagreements = 0
-        for (
-            index,
-            raw,
-            sample_id,
-            resolved,
-            graph,
-            position,
-        ), probability in zip(lowered, probabilities):
-            report = self.detector.build_report(
-                raw, sample_id, resolved, probability, graph
-            )
-            if (
-                decisions is not None
-                and report.label == 1
-                and decisions[position].near_miss
-            ):
-                disagreements += 1
-            reports[index] = report
-            recorded.append((raw, report))
-        self._registry_record(recorded)
+
+    def _scan(
+        self,
+        raw_codes: List[bytes],
+        ids: List[str],
+        platforms: List[Optional[str]],
+    ) -> List[VerdictReport]:
+        outcome = self.engine.run(raw_codes, ids, platforms)
+        reports = outcome.reports
+        if self.registry is not None:
+            hits = outcome.registry_hits
+            self.metrics.record_registry(True, hits)
+            self.metrics.record_registry(False, len(reports) - hits)
         self.metrics.record_verdicts(
-            len(reports),
-            sum(1 for report in reports if report.is_malicious),
+            len(reports), sum(1 for report in reports if report.is_malicious)
         )
-        if decisions is not None:
-            self.metrics.record_cascade(
-                short_circuits, len(escalated), disagreements
-            )
+        if outcome.cascade_stats is not None:
+            self.metrics.record_cascade(**outcome.cascade_stats)
         return reports
-
-    # -------------------------------------------------------------- #
-    # registry integration
-
-    def _registry_lookup(self, raw: bytes, sample_id: str):
-        """The stored verdict for ``raw``, or None (no registry / unknown /
-        recorded under different weights or another explain setting)."""
-        return self._registry_lookup_many([raw], [sample_id])[0]
-
-    def _registry_lookup_many(
-        self, raws: Sequence[bytes], sample_ids: Sequence[str]
-    ) -> List:
-        """Stored verdicts for ``raws`` in one bulk registry query (None
-        per miss) -- one locked SELECT per request, not per contract."""
-        if self.registry is None:
-            return [None] * len(raws)
-        from repro.registry.store import content_sha256
-
-        shas = [content_sha256(raw) for raw in raws]
-        # weight-level identity (plus the cascade mode/margin suffix): a
-        # retrained model -- or the same bundle scanned with the cascade
-        # toggled or re-margined -- must never be served old verdicts
-        identity = self.detector.model_identity()
-        rows = self.registry.get_many(shas)
-        reports: List = []
-        for sha, sample_id in zip(shas, sample_ids):
-            row = rows.get(sha)
-            if (
-                row is None
-                or row.model_identity != identity
-                or row.explained != self.detector.explain
-            ):
-                self.metrics.record_registry(hit=False)
-                reports.append(None)
-                continue
-            self.metrics.record_registry(hit=True)
-            report = row.to_report(sample_id=sample_id)
-            report.label = int(
-                report.malicious_probability >= self.detector.threshold
-            )
-            reports.append(report)
-        return reports
-
-    def _registry_record(self, entries) -> None:
-        if self.registry is None or not entries:
-            return
-        from repro.registry.store import content_sha256
-
-        self.registry.record_many(
-            [
-                (content_sha256(raw), report, report.sample_id)
-                for raw, report in entries
-            ],
-            explained=self.detector.explain,
-            model_identity=self.detector.model_identity(),
-        )
 
     def verdicts_index(
         self, params: Dict[str, List[str]]

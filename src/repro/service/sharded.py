@@ -18,11 +18,11 @@ Design points:
   the :class:`~repro.service.cache.GraphCache` disk tier publishes entries
   with atomic temp-file renames and treats unreadable entries as misses, so
   concurrent shards need no lock to share a warm cache.
-* **Verdict parity.**  Workers score through the same
-  :meth:`~repro.core.detector.ScamDetector.build_report` path as everything
-  else; because scores are quantized there, sharded verdicts are
-  byte-identical to single-process ``ScamDetector.scan`` verdicts no matter
-  how the corpus is split.
+* **Verdict parity.**  Workers run the same
+  :class:`~repro.core.engine.ScanEngine` as every other entry point, and
+  :meth:`~repro.core.detector.ScamDetector.build_report` quantizes scores,
+  so sharded verdicts are byte-identical to single-process
+  ``ScamDetector.scan`` verdicts no matter how the corpus is split.
 * **Crash recovery.**  Chunks are executed *at least once* and merged
   *exactly once*: if a worker dies mid-batch its unacknowledged chunks are
   requeued onto a respawned replica (duplicated results are dropped by chunk
@@ -59,12 +59,12 @@ import time
 import traceback
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.detector import BytecodeLike, ScamDetector, coerce_bytecode
-from repro.core.frontends import detect_platform
+from repro.core.detector import ScamDetector
+from repro.core.engine import ScanEngine, ScanOutcome
 from repro.gnn.data import ContractGraph
 from repro.obs.trace import (
     Tracer,
@@ -83,11 +83,7 @@ from repro.resilience.faults import (
     evaluate_fault,
     fault_point,
 )
-from repro.service.batch import (
-    BatchScanResult,
-    collect_directory_inputs,
-    throughput_stats,
-)
+from repro.service.batch import BatchScanResult, ScanEntryPoints, throughput_stats
 from repro.service.cache import CacheStats, GraphCache
 
 PathLike = Union[str, pathlib.Path]
@@ -139,102 +135,25 @@ def _payload_graph(payload: Tuple) -> ContractGraph:
     )
 
 
-def _scan_chunk(
-    detector: ScamDetector,
-    cache: GraphCache,
-    items: Sequence[Tuple],
-    inference_batch_size: int,
-):
-    """Lower + score one chunk of ``(index, raw, platform, sample_id)``.
-
-    When the replica's cascade is enabled, the worker runs the tier-0
-    pre-filter locally: confident-benign contracts of the chunk skip
-    lowering + inference and come back as ``stage: "prefilter"`` reports;
-    the decision logic is the very same
-    :meth:`~repro.core.detector.ScamDetector.cascade_decide` every other
-    path uses, so sharded cascade verdicts match single-process ones.
-    """
+def _scan_chunk(engine: ScanEngine, items: Sequence[Tuple]):
+    """Scan one chunk of ``(index, raw, platform, sample_id)`` on this
+    worker's engine; returns ``(index, report)`` pairs plus the stats delta
+    the parent aggregates per shard."""
     started = time.perf_counter()
-    before = cache.stats.copy()
-    resolved_platforms = [
-        platform or detect_platform(raw) for _, raw, platform, _ in items
-    ]
-    decisions = detector.cascade_decide(
-        [raw for _, raw, _, _ in items], resolved_platforms
+    outcome = engine.run(
+        [raw for _, raw, _, _ in items],
+        [sample_id for _, _, _, sample_id in items],
+        [platform for _, _, platform, _ in items],
     )
-    if decisions is None:
-        escalated = list(range(len(items)))
-        cascade_stats = None
-    else:
-        escalated = [
-            position
-            for position, decision in enumerate(decisions)
-            if not decision.short_circuit
-        ]
-        cascade_stats = {
-            "short_circuits": len(items) - len(escalated),
-            "escalations": len(escalated),
-            "disagreements": 0,
-        }
-    lowered = []
-    for position in escalated:
-        index, raw, _, sample_id = items[position]
-        graph, resolved = detector.pipeline.analyse_bytecode(
-            raw, platform=resolved_platforms[position], sample_id=sample_id
-        )
-        lowered.append((position, index, raw, resolved, sample_id, graph))
-    graphs = [graph for *_, graph in lowered]
-    probabilities: List[float] = []
-    batch_sizes: Dict[int, int] = {}
-    for chunk in detector.pipeline._trainer.iter_predict_proba(
-        graphs, batch_size=inference_batch_size
-    ):
-        batch_sizes[len(chunk)] = batch_sizes.get(len(chunk), 0) + 1
-        probabilities.extend(float(row[1]) for row in chunk)
-    scored: Dict[int, object] = {}
-    for (
-        position,
-        index,
-        raw,
-        resolved,
-        sample_id,
-        graph,
-    ), probability in zip(lowered, probabilities):
-        report = detector.build_report(
-            raw, sample_id, resolved, probability, graph
-        )
-        if (
-            decisions is not None
-            and report.label == 1
-            and decisions[position].near_miss
-        ):
-            cascade_stats["disagreements"] += 1
-        scored[position] = report
-    reports = []
-    for position, (index, raw, _, sample_id) in enumerate(items):
-        if position in scored:
-            reports.append((index, scored[position]))
-        else:
-            reports.append(
-                (
-                    index,
-                    detector.build_prefilter_report(
-                        raw,
-                        sample_id,
-                        resolved_platforms[position],
-                        decisions[position].probability,
-                    ),
-                )
-            )
     stats = {
-        "contracts": len(reports),
-        "malicious": sum(1 for _, report in reports if report.is_malicious),
+        "contracts": len(items),
+        "malicious": sum(1 for report in outcome.reports if report.is_malicious),
         "elapsed_seconds": time.perf_counter() - started,
-        "cache": cache.stats.delta(before),
-        "batch_sizes": batch_sizes,
-        "cascade": cascade_stats,
+        "cache": outcome.cache_stats,
+        "batch_sizes": outcome.batch_sizes,
+        "cascade": outcome.cascade_stats,
     }
-    return reports, stats
+    return [(item[0], report) for item, report in zip(items, outcome.reports)], stats
 
 
 def _crash(result_queue) -> None:
@@ -292,6 +211,11 @@ def _shard_worker(
             disk_dir=options["cache_dir"],
         )
         detector.pipeline.set_graph_cache(cache)
+        # the replica runs the same scan engine as every other entry point,
+        # minus the registry: the parent's engine reads and records it
+        engine = ScanEngine(
+            detector, inference_batch_size=options["inference_batch_size"]
+        )
     except BaseException:
         result_queue.put(("fatal", shard_id, None, traceback.format_exc()))
         return
@@ -331,12 +255,7 @@ def _shard_worker(
                     shard=shard_id,
                     items=len(payload),
                 ):
-                    chunk_result = _scan_chunk(
-                        detector,
-                        cache,
-                        payload,
-                        options["inference_batch_size"],
-                    )
+                    chunk_result = _scan_chunk(engine, payload)
                 if worker_tracer is not None:
                     chunk_result[1]["spans"] = worker_tracer.drain()
                 result_queue.put(("scan", shard_id, chunk_id, chunk_result))
@@ -480,7 +399,7 @@ class _ShardWindow:
         return stats
 
 
-class ShardedScanner:
+class ShardedScanner(ScanEntryPoints):
     """Scan driver that shards work across a process pool of replicas.
 
     Each worker process loads its own detector replica from a persistence
@@ -756,72 +675,38 @@ class ShardedScanner:
             pass
 
     # ------------------------------------------------------------------ #
-    # scanning entry points (mirror BatchScanner)
-
-    def scan_codes(
-        self,
-        codes: Iterable[BytecodeLike],
-        platform: Optional[str] = None,
-        sample_ids: Optional[Sequence[str]] = None,
-    ) -> BatchScanResult:
-        """Scan an iterable of bytecode inputs; reports keep input order."""
-        raw_codes = [coerce_bytecode(code) for code in codes]
-        if sample_ids is not None and len(sample_ids) != len(raw_codes):
-            raise ValueError("sample_ids length must match codes")
-        ids = (
-            list(sample_ids)
-            if sample_ids is not None
-            else [
-                f"contract-{index:04d}" for index in range(len(raw_codes))
-            ]
-        )
-        return self._scan_raw(raw_codes, ids, platform)
-
-    def scan_corpus(self, corpus) -> BatchScanResult:
-        """Scan every sample of a corpus (corpus labels are ignored)."""
-        samples = list(corpus)
-        return self._scan_raw(
-            [sample.bytecode for sample in samples],
-            [sample.sample_id for sample in samples],
-            platform=None,
-            platforms=[sample.platform for sample in samples],
-        )
-
-    def scan_directory(
-        self,
-        directory: PathLike,
-        pattern: str = "*",
-        platform: Optional[str] = None,
-        recursive: bool = True,
-    ) -> BatchScanResult:
-        """Scan a directory tree (same file rules as ``BatchScanner``)."""
-        raw_codes, ids, skipped = collect_directory_inputs(
-            directory, pattern, recursive=recursive
-        )
-        result = self._scan_raw(raw_codes, ids, platform)
-        result.skipped = skipped
-        return result
-
-    # ------------------------------------------------------------------ #
+    # scanning (scan_codes / scan_corpus / scan_directory: ScanEntryPoints)
 
     def _scan_raw(
         self,
         raw_codes: List[bytes],
         ids: List[str],
-        platform: Optional[str],
-        platforms: Optional[List[str]] = None,
+        platforms: List[Optional[str]],
     ) -> BatchScanResult:
         started = time.perf_counter()
+        outcome = self.run(raw_codes, ids, platforms)
+        elapsed = time.perf_counter() - started
+        return BatchScanResult.from_outcome(outcome, self.shards, elapsed)
+
+    def run(
+        self,
+        raw_codes: List[bytes],
+        ids: List[str],
+        platforms: List[Optional[str]],
+    ) -> ScanOutcome:
+        """Scan on the pool; a None platform is sniffed by the worker.
+
+        This is the shard-pool plug-in of a sharded ``BatchScanner``'s
+        :class:`~repro.core.engine.ScanEngine`: every worker runs the same
+        engine, without a registry, over its chunks.
+        """
         if not raw_codes:
-            return BatchScanResult(num_workers=self.shards)
+            return ScanOutcome()
         self.start()
         per_shard: List[List[Tuple]] = [[] for _ in range(self.shards)]
         for index, raw in enumerate(raw_codes):
-            resolved = (
-                platforms[index] if platforms is not None else platform
-            )
             per_shard[shard_for_bytecode(raw, self.shards)].append(
-                (index, raw, resolved, ids[index])
+                (index, raw, platforms[index], ids[index])
             )
         assignments = []
         for shard_id, items in enumerate(per_shard):
@@ -874,21 +759,16 @@ class ShardedScanner:
                 f"contracts: {missing[:5]}"
             )
 
-        result = BatchScanResult(
-            num_workers=self.shards,
-            batch_sizes=batch_sizes,
+        return ScanOutcome(
+            reports=reports,
             cascade_stats=cascade_stats,
+            batch_sizes=batch_sizes,
+            cache_stats=merged_cache,
+            shard_stats={
+                f"shard-{shard_id}": window.delta_stats(windows_before[shard_id])
+                for shard_id, window in enumerate(self._windows)
+            },
         )
-        result.reports = reports
-        result.cache_stats = merged_cache
-        result.elapsed_seconds = time.perf_counter() - started
-        result.shard_stats = {
-            f"shard-{shard_id}": window.delta_stats(
-                windows_before[shard_id]
-            )
-            for shard_id, window in enumerate(self._windows)
-        }
-        return result
 
     # ------------------------------------------------------------------ #
     # inference-only dispatch (used by the scan server's coalescer)

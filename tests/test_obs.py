@@ -300,6 +300,50 @@ def test_summarize_traces_and_format():
 
 
 # ---------------------------------------------------------------------- #
+# scan-engine span taxonomy through the server's front doors
+
+
+@pytest.fixture(scope="module")
+def served_detector(tiny_evm_corpus):
+    from repro.core.config import ScamDetectConfig
+    from repro.core.detector import ScamDetector
+
+    detector = ScamDetector(
+        ScamDetectConfig(epochs=3, num_layers=1, hidden_features=8),
+        explain=False,
+    )
+    detector.train(tiny_evm_corpus)
+    return detector
+
+
+def test_server_spans_match_the_engine_stages(served_detector,
+                                              tiny_evm_corpus):
+    """With the cascade off no request records a tier-0 span, and a
+    ``/v1/scan-batch`` request records one ``lowering`` span per contract,
+    like every other front door."""
+    from repro.service import ServerClient
+    from repro.service.server import ScanServer
+
+    codes = [sample.bytecode for sample in tiny_evm_corpus[:3]]
+    with ScanServer(served_detector, port=0) as server:
+        client = ServerClient(port=server.port)
+        with tracing() as tracer:
+            client.scan(codes[0], sample_id="single")
+            client.scan_batch(codes, sample_ids=["a", "b", "c"])
+            records = tracer.drain()
+    sites = [record["site"] for record in records]
+    assert sites.count("server.request") == 2
+    assert "cascade.tier0" not in sites
+    assert sites.count("lowering") == 1 + len(codes)
+    lowered = sorted(
+        record["attrs"]["sample"]
+        for record in records
+        if record["site"] == "lowering"
+    )
+    assert lowered == ["a", "b", "c", "single"]
+
+
+# ---------------------------------------------------------------------- #
 # Prometheus exposition
 
 

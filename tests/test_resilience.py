@@ -273,17 +273,17 @@ def test_cache_corrupt_disk_entry_recovers_as_miss(trained_detector,
                                                    tmp_path):
     codes = [sample.bytecode for sample in tiny_evm_corpus[:6]]
     oracle = [report.to_dict() for report in BatchScanner(
-        trained_detector, max_workers=1).scan_codes(codes).reports]
+        trained_detector).scan_codes(codes).reports]
     warm = GraphCache(trained_detector.config.graph_fingerprint(),
                       disk_dir=tmp_path)
-    BatchScanner(trained_detector, cache=warm, max_workers=1).scan_codes(codes)
+    BatchScanner(trained_detector, cache=warm).scan_codes(codes)
     cold = GraphCache(trained_detector.config.graph_fingerprint(),
                       disk_dir=tmp_path)
     with fault_plan(FaultPlan(specs=(
             FaultSpec(site="cache.disk_read", kind="corrupt"),))):
         with pytest.warns(UserWarning, match="corrupt"):
-            result = BatchScanner(trained_detector, cache=cold,
-                                  max_workers=1).scan_codes(codes)
+            result = BatchScanner(trained_detector,
+                                  cache=cold).scan_codes(codes)
     assert [report.to_dict() for report in result.reports] == oracle
     # every disk lookup hit really-corrupted bytes and fell back to lowering
     assert cold.stats.hits == 0
@@ -293,14 +293,14 @@ def test_cache_disk_full_write_keeps_serving(trained_detector,
                                              tiny_evm_corpus, tmp_path):
     codes = [sample.bytecode for sample in tiny_evm_corpus[:4]]
     oracle = [report.to_dict() for report in BatchScanner(
-        trained_detector, max_workers=1).scan_codes(codes).reports]
+        trained_detector).scan_codes(codes).reports]
     cache = GraphCache(trained_detector.config.graph_fingerprint(),
                        disk_dir=tmp_path)
     with fault_plan(FaultPlan(specs=(
             FaultSpec(site="cache.disk_write", kind="disk_full"),))):
         with pytest.warns(UserWarning):
-            result = BatchScanner(trained_detector, cache=cache,
-                                  max_workers=1).scan_codes(codes)
+            result = BatchScanner(trained_detector,
+                                  cache=cache).scan_codes(codes)
     assert [report.to_dict() for report in result.reports] == oracle
 
 
@@ -317,8 +317,7 @@ def test_registry_write_retries_through_sqlite_busy(trained_detector,
     with registry, fault_plan(FaultPlan(specs=(
             FaultSpec(site="registry.write", kind="exception",
                       exception="sqlite_busy", max_fires=2),))):
-        BatchScanner(trained_detector, max_workers=1,
-                     registry=registry).scan_codes(codes)
+        BatchScanner(trained_detector, registry=registry).scan_codes(codes)
         assert registry.counts()["verdicts"] > 0
         assert active_injector().fired_total() == 2
 
@@ -496,8 +495,7 @@ def test_quarantined_shard_rebalances_and_completes(trained_detector,
                                                     tiny_evm_corpus):
     codes = [sample.bytecode for sample in tiny_evm_corpus]
     ids = [sample.sample_id for sample in tiny_evm_corpus]
-    oracle = BatchScanner(trained_detector, max_workers=1).scan_codes(
-        codes, sample_ids=ids)
+    oracle = BatchScanner(trained_detector).scan_codes(codes, sample_ids=ids)
     plan = FaultPlan(specs=(
         FaultSpec(site="shard.worker.0", kind="crash", max_fires=1),))
     with fault_plan(plan), \

@@ -227,6 +227,43 @@ def test_batch_scanner_matches_single_scan(trained_detector, tiny_evm_corpus):
     detector.pipeline.set_graph_cache(None)
 
 
+@pytest.mark.parametrize(
+    "path", ["fresh", "memory-hit", "disk-hit", "two-shards"])
+def test_explain_reports_identical_across_lowering_paths(
+        trained_detector, tiny_evm_corpus, tmp_path, path):
+    """With explain on, notes come from the CFG lowering just built, or
+    from one CFG build on a graph-cache hit; every path must reproduce a
+    fresh single-contract scan byte for byte."""
+    trained_detector.save(tmp_path / "model")
+    detector = ScamDetector.load(tmp_path / "model", explain=True)
+    codes = [sample.bytecode for sample in tiny_evm_corpus[:8]]
+    ids = [sample.sample_id for sample in tiny_evm_corpus[:8]]
+    expected = [detector.scan(code, sample_id=sample_id).to_json()
+                for code, sample_id in zip(codes, ids)]
+    assert all(json.loads(report)["notes"] for report in expected)
+
+    if path == "fresh":
+        result = detector.scan_many(codes, sample_ids=ids)
+    elif path == "memory-hit":
+        cache = GraphCache.for_config(detector.config)
+        detector.scan_many(codes, sample_ids=ids, cache=cache)
+        result = detector.scan_many(codes, sample_ids=ids, cache=cache)
+        assert result.cache_stats.misses == 0
+        assert result.cache_stats.disk_hits == 0
+    elif path == "disk-hit":
+        disk_dir = tmp_path / "cache"
+        detector.scan_many(codes, sample_ids=ids, cache=GraphCache.for_config(
+            detector.config, disk_dir=disk_dir))
+        reopened = GraphCache.for_config(detector.config, disk_dir=disk_dir)
+        result = detector.scan_many(codes, sample_ids=ids, cache=reopened)
+        assert result.cache_stats.misses == 0
+        assert result.cache_stats.disk_hits > 0
+    else:
+        result = detector.scan_many(codes, sample_ids=ids, shards=2)
+        assert result.num_workers == 2
+    assert [report.to_json() for report in result.reports] == expected
+
+
 def test_scan_many_and_summary_fields(trained_detector, tiny_evm_corpus):
     detector = trained_detector
     result = detector.scan_many([s.bytecode for s in tiny_evm_corpus[:6]])
@@ -247,8 +284,7 @@ def test_scan_many_restores_previous_cache(trained_detector, tiny_evm_corpus):
 
 def test_scan_many_sequential_workers(trained_detector, tiny_evm_corpus):
     detector = trained_detector
-    result = detector.scan_many([s.bytecode for s in tiny_evm_corpus[:4]],
-                                max_workers=1)
+    result = detector.scan_many([s.bytecode for s in tiny_evm_corpus[:4]])
     assert result.num_workers == 1
     assert result.num_scanned == 4
 

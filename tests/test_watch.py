@@ -463,8 +463,7 @@ def test_stop_during_injected_slow_poll_finishes_the_cycle(
             stopper.cancel()
     assert completed == 1
     # the interrupted cycle still recorded every contract durably
-    scanned = BatchScanner(trained_detector, max_workers=1).scan_directory(
-        feed)
+    scanned = BatchScanner(trained_detector).scan_directory(feed)
     recorded = {row.sha256 for row in registry.query(limit=None)}
     assert {content_sha256(sample_bytes)
             for sample_bytes in (path.read_bytes()
