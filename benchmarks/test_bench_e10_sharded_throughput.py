@@ -10,6 +10,12 @@ lowering cannot parallelise on a 1-core container no matter what the
 software does.  The floor therefore scales with the cores this process may
 actually use (affinity-aware); the parity side is asserted unconditionally,
 because correctness never depends on the machine.
+
+``sharded_speedup`` is the median per-pair ratio over ``E10Config.repeats``
+interleaved pairs of fresh 1-shard and 4-shard pools (alternating which
+runs first, after one untimed pool of each size), so one slow pool on a
+busy host cannot sink the gate; the floors and the committed baseline are
+unchanged.
 """
 
 from benchmarks.conftest import record_json, record_result, run_once

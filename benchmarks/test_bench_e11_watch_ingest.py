@@ -1,10 +1,11 @@
 """E11: continuous watch ingest -- warm re-polls must be inference-free.
 
-The registry acceptance experiment: a cold watch ingest of a 240-contract
-corpus pays full lowering + inference once; a warm re-poll of the unchanged
-corpus must be at least 20x faster and perform **zero** GNN inference calls
-(the stat short-circuit never even re-reads the files), and a
-daemon-restart poll with every mtime bumped -- the stat index defeated, so
+The registry acceptance experiment, on the ingest service's ``poll``
+backend: a cold backfill of a 240-contract corpus pays full lowering +
+inference once; a warm cycle over the unchanged corpus must be at least
+20x faster and perform **zero** GNN inference calls (the stat
+short-circuit never even re-reads the files), and the backfill of a
+restarted service with every mtime bumped -- the stat index defeated, so
 every file is re-read and re-hashed -- must answer everything from the
 registry, also inference-free.  Every registry verdict is compared
 byte-for-byte against a direct ``scan_directory`` oracle.
@@ -26,14 +27,15 @@ def test_bench_e11_watch_ingest(benchmark):
     # parity: registry verdicts == scan_directory verdicts, byte for byte
     assert result.summary["verdict_mismatches"] == 0
     assert result.summary["registry_rows"] == config.num_samples
-    # the inference-free contract: warm and restart polls never touch the
-    # model (zero batched inference calls, zero contracts scanned)
+    # the inference-free contract: the warm cycle and the restart backfill
+    # never touch the model (zero batched inference calls, zero scanned)
     assert result.summary["warm_inference_calls"] == 0
     assert result.summary["restart_inference_calls"] == 0
     cold_row, warm_row, restart_row = result.rows
     assert cold_row["scanned"] == config.num_samples
     assert warm_row["scanned"] == 0 and warm_row["registry_hits"] == 0
-    # the restart poll re-hashed everything and answered from the registry
+    # the restart backfill re-hashed everything and answered from the
+    # registry
     assert restart_row["scanned"] == 0
     assert restart_row["registry_hits"] == config.num_samples
     # acceptance: a warm re-poll of an unchanged corpus is >= 20x faster

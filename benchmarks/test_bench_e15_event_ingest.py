@@ -1,15 +1,15 @@
 """E15: event-driven ingest -- steady-state cycles must beat poll walks.
 
 The ingest-tier acceptance experiment: the same 240-contract corpus is
-ingested by the polling ``WatchDaemon`` and by the event-driven
-``EventIngestService`` (inotify -> bounded priority queue -> the batch
-scan stack).  The contracts: (1) the two registries end up
-**byte-identical** (same sample ids, same verdict dicts field by field);
-(2) a steady-state cycle over the unchanged corpus is at least 5x cheaper
-event-driven than polled -- the daemon stats every file, the service pays
-one empty ``select()``; (3) idling performs zero inference, and (4) a
-contract dropped into the watched tree reaches a recorded verdict without
-waiting out a poll interval.
+ingested by ``EventIngestService`` (watcher -> bounded priority queue ->
+the batch scan stack) on the ``poll`` backend and on ``inotify``.  The
+contracts: (1) the two registries end up **byte-identical** (same sample
+ids, same verdict dicts field by field); (2) a steady-state cycle over the
+unchanged corpus is at least 5x cheaper on inotify than on the poll
+backend -- the walk stats every file, inotify pays one empty
+``select()``; (3) idling performs zero inference, and (4) a contract
+dropped into the watched tree reaches a recorded verdict without waiting
+out a poll interval.
 
 The speedup gate is machine-independent (skipping a walk is free
 anywhere), so like E11 it is unconditional -- but the whole benchmark
@@ -34,7 +34,7 @@ def test_bench_e15_event_ingest(benchmark):
     record_result(result)
     record_json("E15", result)
 
-    # parity: event-path registry rows == poll-path registry rows
+    # parity: inotify-backend registry rows == poll-backend registry rows
     assert result.summary["verdict_mismatches"] == 0
     assert result.summary["registry_rows"] == config.num_samples
     # idling over an unchanged corpus is inference-free on the event path
@@ -48,5 +48,5 @@ def test_bench_e15_event_ingest(benchmark):
         f"poll walk (contract: >= 5x)")
     assert result.summary["steady_state_speedup"] <= config.speedup_cap
     # the late-dropped contract reached a verdict at event latency: well
-    # under the classic daemon's 2s default poll interval
+    # under watch's 2s default poll interval
     assert result.summary["event_react_ms"] < 2000.0

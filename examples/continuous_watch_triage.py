@@ -2,10 +2,10 @@
 
 Scenario: a security desk points the detector at a drop directory that other
 systems write contract submissions into.  Instead of re-scanning the corpus
-on a cron job, a watch daemon polls it: new and changed files are scanned,
-verdicts land durably in a SQLite registry (so restarts, queries and the
-scan server all share one source of truth), and declarative TOML rules tag
-and alert on the dangerous ones at ingest time.
+on a cron job, the watch service (``scamdetect watch``) follows it: new and
+changed files are scanned, verdicts land durably in a SQLite registry (so
+restarts, queries and the scan server all share one source of truth), and
+declarative TOML rules tag and alert on the dangerous ones at ingest time.
 
 Run with::
 
@@ -22,12 +22,8 @@ import tempfile
 from repro import ScamDetectConfig, ScamDetector
 from repro.datasets import CorpusGenerator, GeneratorConfig
 from repro.evm.contracts import TEMPLATES_BY_NAME as EVM_TEMPLATES
-from repro.registry import (
-    RulesEngine,
-    ScanRegistry,
-    WatchDaemon,
-    parse_rules,
-)
+from repro.ingest import EventIngestService
+from repro.registry import RulesEngine, ScanRegistry, parse_rules
 
 TRIAGE_RULES = """
 [[rules]]
@@ -81,24 +77,25 @@ def main() -> None:
         engine = RulesEngine(parse_rules(TRIAGE_RULES), alert_path=alerts)
         with ScanRegistry.for_config(
             root / "verdicts.db", detector.config
-        ) as registry:
-            daemon = WatchDaemon(
-                detector, registry, feed, rules=engine, interval=0.5
-            )
+        ) as registry, EventIngestService(
+            # the poll backend walks the drop directory once per cycle (what
+            # a network mount needs); the default picks inotify where the
+            # kernel offers it
+            detector, registry, roots=[feed], rules=engine, backend="poll"
+        ) as service:
+            stats = service.backfill()
+            print(f"backfill (initial ingest): {stats.format()}")
 
-            stats = daemon.poll_once()
-            print(f"cycle 1 (initial ingest): {stats.format()}")
+            # nothing changed: the next cycle is pure os.stat
+            stats = service.cycle()
+            print(f"cycle 1 (unchanged):       {stats.format()}")
 
-            # nothing changed: the second cycle is pure os.stat
-            stats = daemon.poll_once()
-            print(f"cycle 2 (unchanged):      {stats.format()}")
-
-            # two malicious drops arrive between polls
+            # two malicious drops arrive between cycles
             for name in ("approval_drainer", "honeypot"):
                 code = EVM_TEMPLATES[name].generate(rng)
                 (feed / f"{name}.bin").write_bytes(code)
-            stats = daemon.poll_once()
-            print(f"cycle 3 (two new drops):  {stats.format()}")
+            stats = service.cycle()
+            print(f"cycle 2 (two new drops):   {stats.format()}")
 
             print("\nregistry contents (newest first):")
             for row in registry.query(limit=10):
@@ -119,9 +116,9 @@ def main() -> None:
             # under a new name is answered from SQLite
             clone = feed / "approval_drainer-clone.bin"
             clone.write_bytes((feed / "approval_drainer.bin").read_bytes())
-            stats = daemon.poll_once()
+            stats = service.cycle()
             print(
-                f"\ncycle 4 (clone drop):     {stats.format()}"
+                f"\ncycle 3 (clone drop):      {stats.format()}"
                 f"\n  -> served from the registry with zero inference"
             )
 

@@ -13,7 +13,7 @@ Exercises both ingest front doors the way an operator would:
    when an ``exit_nonzero`` triage rule fired),
 6. spawn ``scamdetect serve --ingest-queue`` against the same registry,
    ``POST /v1/ingest`` a pushed contract, and assert its verdict is
-   recorded and the queue counters surface in ``/healthz``,
+   recorded and the queue counters surface in ``/v1/healthz``,
 7. SIGTERM the server and assert the queue drained (no accepted contract
    is lost).
 
@@ -172,7 +172,7 @@ def main() -> int:
                 args.timeout,
                 "the ingest server to come up",
             )
-            health = get_json(f"{base}/healthz")
+            health = get_json(f"{base}/v1/healthz")
             ingest = health.get("ingest")
             assert ingest and ingest["capacity"] == 64, health
             print(
@@ -239,7 +239,7 @@ def main() -> int:
 
 def _probe(base: str) -> bool:
     try:
-        return get_json(f"{base}/healthz")["status"] in ("ok", "degraded")
+        return get_json(f"{base}/v1/healthz")["status"] in ("ok", "degraded")
     except OSError:
         return False
 

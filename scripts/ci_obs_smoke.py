@@ -5,7 +5,7 @@ Exercises the tracing + exposition stack the way an operator would:
 
 1. spawn ``scamdetect serve --ingest-queue --trace-file --log-json`` as a
    subprocess against a fresh registry,
-2. assert ``/healthz`` reports tracing armed (and fault injection
+2. assert ``/v1/healthz`` reports tracing armed (and fault injection
    disarmed) plus the package version and ``uptime_s``,
 3. drive load through every front door: ``POST /v1/scan``,
    ``POST /v1/scan-batch`` and ``POST /v1/ingest``,
@@ -34,6 +34,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import urllib.error
 import urllib.request
 
 
@@ -63,7 +64,7 @@ def post_json(url: str, payload: dict) -> dict:
 
 def _probe(base: str) -> bool:
     try:
-        return get_json(f"{base}/healthz")["status"] in ("ok", "degraded")
+        return get_json(f"{base}/v1/healthz")["status"] in ("ok", "degraded")
     except OSError:
         return False
 
@@ -125,7 +126,7 @@ def main() -> int:
                 args.timeout,
                 "the traced server to come up",
             )
-            health = get_json(f"{base}/healthz")
+            health = get_json(f"{base}/v1/healthz")
             assert health["tracing"] == "armed", health
             assert health["fault_injection"] == "disarmed", health
             assert health["version"] and health["uptime_s"] >= 0.0, health
@@ -187,10 +188,15 @@ def main() -> int:
             )
             with urllib.request.urlopen(request, timeout=10) as response:
                 content_type = response.headers.get("Content-Type", "")
-                deprecated = response.headers.get("Deprecation")
                 text = response.read().decode("utf-8")
             assert content_type.startswith("text/plain"), content_type
-            assert deprecated is None, "versioned path flagged deprecated"
+            # every route is versioned: the bare path is an unknown one
+            try:
+                urllib.request.urlopen(f"{base}/metrics", timeout=10)
+            except urllib.error.HTTPError as error:
+                assert error.code == 404, error.code
+            else:
+                raise SystemExit("obs smoke: unversioned /metrics answered")
             errors = validate_exposition(text)
             if errors:
                 for error in errors[:20]:

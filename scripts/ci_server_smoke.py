@@ -8,12 +8,12 @@ Started by the CI workflow after launching the server in the background::
 
 Asserts, against a live server over real HTTP:
 
-1. ``GET /healthz`` answers 200 with ``status: ok``;
-2. ``POST /scan`` of a freshly generated contract returns a well-formed
+1. ``GET /v1/healthz`` answers 200 with ``status: ok``;
+2. ``POST /v1/scan`` of a freshly generated contract returns a well-formed
    verdict (all report fields present, verdict in {benign, malicious},
    probability consistent with the label);
-3. a burst of concurrent scans plus one ``/scan-batch`` works and
-   ``GET /metrics`` shows the counters advancing and the coalescer forming
+3. a burst of concurrent scans plus one ``/v1/scan-batch`` works and
+   ``GET /v1/metrics`` shows the counters advancing and the coalescer forming
    at least one inference batch of size > 1.
 
 Exits non-zero with a readable message on the first violated expectation.
@@ -44,7 +44,7 @@ def main(argv=None) -> int:
 
     client = ServerClient(host=args.host, port=args.port)
     health = client.wait_until_ready(timeout=args.startup_timeout)
-    check(health.get("status") == "ok", "GET /healthz answers status=ok")
+    check(health.get("status") == "ok", "GET /v1/healthz answers status=ok")
     check("model" in health and "uptime_seconds" in health,
           "health payload names the model and uptime")
 
@@ -71,7 +71,7 @@ def main(argv=None) -> int:
           f"{len(reports)} concurrent scans all returned verdicts")
     batch = client.scan_batch([sample.bytecode for sample in corpus[:4]])
     check(batch["contracts"] == 4 and len(batch["reports"]) == 4,
-          "POST /scan-batch scans all submitted contracts")
+          "POST /v1/scan-batch scans all submitted contracts")
 
     metrics = client.metrics()
     check(metrics["requests"].get("scan", 0) >= len(codes) + 1,

@@ -1,14 +1,17 @@
 #!/usr/bin/env python
-"""CI smoke test for the watch daemon (run against a real subprocess).
+"""CI smoke test for ``scamdetect watch --backend poll`` (a real subprocess).
 
-Drives the full continuous-scanning loop the way an operator would:
+Drives the full continuous-scanning loop the way an operator on a network
+mount would -- the poll backend walks the tree every interval (the ingest
+smoke test covers the inotify backend):
 
 1. generate a small corpus directory and a triage rules file,
-2. spawn ``scamdetect watch`` as a subprocess with a short poll interval,
+2. spawn ``scamdetect watch --backend poll`` as a subprocess with a short
+   interval,
 3. wait for the initial ingest to land in the SQLite registry,
 4. drop a *new* contract into the watched directory and assert that its
    registry row and the rule's JSONL alert appear within a few polls,
-5. send SIGTERM and assert the daemon drains and exits cleanly (exit code
+5. send SIGTERM and assert the watcher drains and exits cleanly (exit code
    0 or 2 -- 2 means an ``exit_nonzero`` triage rule fired, which is
    expected when the corpus contains malicious contracts),
 6. re-read the registry with ``scamdetect query --json`` and sanity-check
@@ -105,7 +108,7 @@ def main() -> int:
         registry = root / "verdicts.db"
         alerts = root / "alerts.jsonl"
 
-        daemon = subprocess.Popen(
+        watcher = subprocess.Popen(
             [
                 sys.executable,
                 "-m",
@@ -120,6 +123,8 @@ def main() -> int:
                 str(rules),
                 "--alert-file",
                 str(alerts),
+                "--backend",
+                "poll",
                 "--interval",
                 "0.5",
             ],
@@ -178,14 +183,14 @@ def main() -> int:
                     f"alerted and tagged"
                 )
         finally:
-            daemon.send_signal(signal.SIGTERM)
-            exit_code = daemon.wait(timeout=30)
+            watcher.send_signal(signal.SIGTERM)
+            exit_code = watcher.wait(timeout=30)
         if exit_code not in (0, 2):
             raise SystemExit(
-                f"watch smoke: daemon exited {exit_code} after SIGTERM "
+                f"watch smoke: watcher exited {exit_code} after SIGTERM "
                 f"(expected 0, or 2 when the exit_nonzero rule fired)"
             )
-        print(f"watch smoke: daemon drained cleanly (exit {exit_code})")
+        print(f"watch smoke: watcher drained cleanly (exit {exit_code})")
 
         rows = registry_rows(registry)
         expected = args.num_contracts + 1

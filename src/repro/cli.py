@@ -256,11 +256,14 @@ def _open_registry(command: str, path: Optional[str], detector):
 
 
 def _command_watch(args: argparse.Namespace) -> int:
+    """``watch``: backfill the roots, then follow their changes through the
+    ingest service (inotify events, or ``--backend poll`` walks) into the
+    registry and the triage rules."""
     import json
     import signal
 
-    from repro.registry import RegistryError, RuleParseError, RulesEngine, \
-        WatchDaemon, load_rules
+    from repro.ingest import EventIngestService
+    from repro.registry import RuleParseError, RulesEngine, load_rules
     from repro.service import GraphCache, ShardError
 
     _arm_fault_plan("watch", args.fault_plan)
@@ -282,61 +285,6 @@ def _command_watch(args: argparse.Namespace) -> int:
                                           disk_dir=args.cache_dir)
         except ValueError as error:
             raise SystemExit(f"watch: {error}")
-    if args.event_driven:
-        return _run_event_watch(args, detector, registry, rules_engine, cache)
-    if args.root:
-        raise SystemExit("watch: --root needs --event-driven (the polling "
-                         "daemon watches exactly one directory)")
-    try:
-        daemon = WatchDaemon(detector, registry, args.directory,
-                             pattern=args.pattern,
-                             recursive=not args.no_recursive,
-                             rules=rules_engine, interval=args.interval,
-                             cache=cache, shards=args.shards)
-    except (FileNotFoundError, ValueError, RegistryError) as error:
-        raise SystemExit(f"watch: {error}")
-
-    def _terminate(signum, frame):
-        # finish the cycle in flight, record everything, then exit run()
-        daemon.stop()
-
-    previous = {sig: signal.signal(sig, _terminate)
-                for sig in (signal.SIGTERM, signal.SIGINT)}
-    print(f"watching {daemon.directory} every {args.interval:g}s "
-          f"(registry {args.registry}, "
-          f"rules {args.rules or 'none'}); SIGTERM drains cleanly",
-          flush=True)
-
-    def on_poll(cycle: int, stats) -> None:
-        if args.json:
-            payload = dict(stats.to_dict(), poll=cycle)
-            print(json.dumps(payload, sort_keys=True), flush=True)
-        else:
-            print(f"poll {cycle}: {stats.format()}", flush=True)
-
-    try:
-        daemon.run(max_polls=args.max_polls, on_poll=on_poll)
-    except ShardError as error:
-        raise SystemExit(f"watch: shard pool failed: {error}")
-    finally:
-        print("watch: shutting down", flush=True)
-        daemon.close()
-        registry.close()
-        for sig, handler in previous.items():
-            signal.signal(sig, handler)
-    return 2 if daemon.exit_nonzero else 0
-
-
-def _run_event_watch(args: argparse.Namespace, detector, registry,
-                     rules_engine, cache) -> int:
-    """``watch --event-driven``: inotify/poll events -> bounded priority
-    queue -> the same scan/record/triage stack as the polling daemon."""
-    import json
-    import signal
-
-    from repro.ingest import EventIngestService
-    from repro.service import ShardError
-
     roots = [args.directory] + list(args.root or [])
     for root in roots:
         if not pathlib.Path(root).is_dir():
@@ -361,18 +309,20 @@ def _run_event_watch(args: argparse.Namespace, detector, registry,
           f"registry {args.registry}, rules {args.rules or 'none'}); "
           f"SIGTERM drains cleanly", flush=True)
 
-    def on_cycle(cycle: int, stats) -> None:
+    def report(cycle: int, stats) -> None:
         if args.json:
             payload = dict(stats.to_dict(), cycle=cycle)
             print(json.dumps(payload, sort_keys=True), flush=True)
+        elif cycle == 0:
+            print(f"backfill: {stats.format()}", flush=True)
         elif stats.events or stats.drained or stats.faulted_drains:
-            # event mode idles most cycles: only narrate ones that did work
+            # a quiet cycle did no work: only narrate the ones that did
             print(f"cycle {cycle}: {stats.format()}", flush=True)
 
     try:
-        service.backfill()
+        report(0, service.backfill())
         service.run(interval=args.interval, max_cycles=args.max_polls,
-                    on_cycle=on_cycle)
+                    on_cycle=report)
     except ShardError as error:
         raise SystemExit(f"watch: shard pool failed: {error}")
     finally:
@@ -801,7 +751,7 @@ def build_parser() -> argparse.ArgumentParser:
     watch_parser.add_argument("--model-path", required=True)
     watch_parser.add_argument("--registry", required=True,
                               help="SQLite verdict registry (created on "
-                                   "first use; survives daemon restarts)")
+                                   "first use; survives watch restarts)")
     watch_parser.add_argument("--rules", default=None,
                               help="TOML triage rules evaluated on every "
                                    "new verdict (see 'scamdetect rules "
@@ -811,14 +761,17 @@ def build_parser() -> argparse.ArgumentParser:
                                    "exhausted their retries")
     watch_parser.add_argument("--fault-plan", default=None,
                               help="JSON fault-injection plan to arm in the "
-                                   "daemon (chaos testing)")
+                                   "watcher (chaos testing)")
     watch_parser.add_argument("--alert-file", default=None,
                               help="JSONL sink for rule 'alert' actions")
     watch_parser.add_argument("--interval", type=float, default=2.0,
-                              help="seconds between poll cycles")
+                              help="seconds a quiet cycle waits for "
+                                   "changes (the poll backend walks the "
+                                   "tree once per interval)")
     watch_parser.add_argument("--max-polls", type=int, default=None,
-                              help="stop after N poll cycles (default: run "
-                                   "until SIGTERM/SIGINT)")
+                              help="stop after N cycles following the "
+                                   "backfill (default: run until "
+                                   "SIGTERM/SIGINT)")
     watch_parser.add_argument("--pattern", default="*",
                               help="glob filter for contract files")
     watch_parser.add_argument("--no-recursive", action="store_true",
@@ -833,25 +786,25 @@ def build_parser() -> argparse.ArgumentParser:
                               help="attach indicator notes to recorded "
                                    "verdicts (matches scan-batch --explain)")
     watch_parser.add_argument("--event-driven", action="store_true",
-                              help="react to filesystem events (inotify, "
-                                   "with a poll-diff fallback) through a "
-                                   "bounded priority queue instead of "
-                                   "rescanning the tree every --interval")
+                              help="accepted for compatibility; watch is "
+                                   "always event-driven")
     watch_parser.add_argument("--root", action="append", default=None,
                               metavar="DIR",
-                              help="additional watch root (repeatable; "
-                                   "--event-driven only)")
+                              help="additional watch root (repeatable)")
     watch_parser.add_argument("--backend", default="auto",
                               choices=("auto", "inotify", "poll"),
-                              help="event backend for --event-driven "
-                                   "(auto prefers inotify)")
+                              help="event source: inotify (auto picks it "
+                                   "where available) or poll, which walks "
+                                   "the tree every --interval (use it on "
+                                   "network mounts)")
     watch_parser.add_argument("--queue-capacity", type=int, default=1024,
-                              help="bounded ingest queue size for "
-                                   "--event-driven (backpressure knob)")
+                              help="bounded ingest queue size "
+                                   "(backpressure knob)")
     watch_parser.add_argument("--json", action="store_true",
-                              help="one JSON object per poll/cycle instead "
-                                   "of the human-readable line (includes "
-                                   "exit_nonzero and faulted_polls)")
+                              help="one JSON object per cycle (cycle 0 is "
+                                   "the backfill) instead of the "
+                                   "human-readable line (includes "
+                                   "exit_nonzero and faulted_cycles)")
     _add_observability_arguments(watch_parser)
     _add_cascade_arguments(watch_parser)
     watch_parser.set_defaults(handler=_command_watch)

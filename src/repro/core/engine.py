@@ -57,6 +57,8 @@ class ScanOutcome:
         cache_stats: Graph-cache counters this run added (None without a
             cache).
         shard_stats: Per-shard telemetry when the shard pool scanned.
+        model_identity: The detector's model identity the registry lookup
+            and record used (None without a registry).
     """
 
     reports: List[VerdictReport] = field(default_factory=list)
@@ -65,6 +67,7 @@ class ScanOutcome:
     batch_sizes: Dict[int, int] = field(default_factory=dict)
     cache_stats: Optional["CacheStats"] = None
     shard_stats: Dict[str, Dict[str, object]] = field(default_factory=dict)
+    model_identity: Optional[str] = None
 
 
 class ScanEngine:
@@ -151,7 +154,9 @@ class ScanEngine:
             report.label = int(report.malicious_probability >= detector.threshold)
             reports.append(report)
         if not misses:
-            return ScanOutcome(reports=reports, registry_hits=len(shas))
+            return ScanOutcome(
+                reports=reports, registry_hits=len(shas), model_identity=identity
+            )
         outcome = self._scan(
             [raw_codes[index] for index in misses],
             [ids[index] for index in misses],
@@ -169,6 +174,7 @@ class ScanEngine:
             reports[index] = report
         outcome.reports = reports
         outcome.registry_hits = len(shas) - len(misses)
+        outcome.model_identity = identity
         return outcome
 
     # ------------------------------------------------------------------ #

@@ -1,7 +1,10 @@
 """Filesystem event sources for the ingest tier.
 
 Two interchangeable backends produce :class:`FileEvent` streams over one
-or more watch roots:
+or more watch roots, and both select files with
+:func:`~repro.service.batch.is_contract_path` -- the rule a ``scan-batch``
+over the same root applies (hidden paths, cache and SQLite files,
+``pattern``, recursion):
 
 :class:`InotifyWatcher`
     Kernel-reported changes via Linux inotify, bound with ``ctypes``
@@ -13,16 +16,17 @@ or more watch roots:
     degrades to one full resync walk instead of losing events.
 
 :class:`PollWatcher`
-    The portable fallback: each :meth:`poll` walks the roots with
+    The portable fallback (network mounts, non-Linux hosts): each
+    :meth:`~PollWatcher.poll` walks the roots with
     :func:`~repro.service.batch.iter_contract_files` and diffs a
-    ``(size, mtime_ns)`` snapshot.  Works on network mounts and
-    non-Linux hosts; the walk *is* the cost, exactly like the classic
-    ``WatchDaemon`` cycle.  A path that transiently fails ``stat()``
-    keeps its snapshot entry and emits nothing -- never a spurious
-    delete (the same invariant the poll daemon's deletion sweep holds).
+    ``(size, mtime_ns)`` snapshot taken at construction, then waits out
+    the rest of its timeout when nothing changed.  The walk is the cost.
+    A path that transiently fails ``stat()`` keeps its snapshot entry and
+    emits nothing -- never a spurious delete.
 
-:func:`open_watcher` picks inotify where available unless the caller
-forces a backend.
+Both deliver a catch-up upsert for every file present at construction on
+their first poll.  :func:`open_watcher` picks inotify where available
+unless the caller forces a backend.
 """
 
 from __future__ import annotations
@@ -34,11 +38,14 @@ import pathlib
 import select
 import struct
 import sys
+import threading
+import time
 import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.service.batch import iter_contract_files
+from repro.resilience.faults import fault_point
+from repro.service.batch import is_contract_path, iter_contract_files
 
 PathLike = Union[str, pathlib.Path]
 
@@ -173,16 +180,15 @@ class InotifyWatcher:
         except OSError:
             return events
         for entry in entries:
-            if entry.name.startswith("."):
-                continue
             try:
                 is_dir = entry.is_dir()
             except OSError:
                 continue
             if is_dir:
-                if self.recursive:
+                # nothing under a hidden directory is a contract
+                if self.recursive and not entry.name.startswith("."):
                     events.extend(self._add_tree(entry, root))
-            else:
+            elif is_contract_path(root, entry, self.pattern, self.recursive):
                 events.append(FileEvent(EVENT_UPSERT, root, entry))
         return events
 
@@ -253,10 +259,12 @@ class InotifyWatcher:
             if directory != root:
                 return [FileEvent(EVENT_RMDIR, root, directory)]
             return []
-        if not name or name.startswith("."):
+        if not name:
             return []
         path = directory / name
         if mask & IN_ISDIR:
+            if name.startswith("."):
+                return []
             if mask & (IN_CREATE | IN_MOVED_TO):
                 if not self.recursive:
                     return []
@@ -264,6 +272,8 @@ class InotifyWatcher:
             if mask & (IN_DELETE | IN_MOVED_FROM):
                 self._drop_dir(path)
                 return [FileEvent(EVENT_RMDIR, root, path)]
+            return []
+        if not is_contract_path(root, path, self.pattern, self.recursive):
             return []
         if mask & (IN_CLOSE_WRITE | IN_MOVED_TO | IN_CREATE):
             return [FileEvent(EVENT_UPSERT, root, path)]
@@ -320,30 +330,53 @@ class PollWatcher:
         self.pattern = pattern
         self.recursive = recursive
         self._snapshot: Dict[pathlib.Path, Tuple[int, int]] = {}
-        self._primed = False
+        self._closed = threading.Event()
+        # the first walk yields the catch-up upserts the first poll()
+        # delivers, and its snapshot makes a delete between now and that
+        # poll visible to it
+        self._pending = self._diff()
 
     def poll(self, timeout: float = 0.0) -> List[FileEvent]:
-        """One diffing walk; ``timeout`` is ignored (the walk is the wait)."""
+        """One diffing walk; with nothing to report, wait out ``timeout``.
+
+        The wait makes a poll-backend cycle last at least ``timeout``
+        seconds, as a quiet inotify ``select()`` does, instead of
+        re-walking the tree back to back.
+        """
+        deadline = time.monotonic() + timeout
+        events, self._pending = self._pending + self._diff(), []
+        remaining = deadline - time.monotonic()
+        if not events and remaining > 0:
+            self._closed.wait(remaining)
+        return events
+
+    def _diff(self) -> List[FileEvent]:
+        """Walk the roots and diff against the snapshot, then replace it."""
         events: List[FileEvent] = []
         seen: Dict[pathlib.Path, Tuple[int, int]] = {}
         unstatable: set = set()
         for root in self.roots:
             try:
-                paths = list(iter_contract_files(
-                    root, self.pattern, recursive=self.recursive
-                ))
-            except FileNotFoundError:
-                warnings.warn(
-                    f"ingest: watch root vanished: {root}", stacklevel=2
+                paths = list(
+                    iter_contract_files(root, self.pattern, recursive=self.recursive)
                 )
+            except FileNotFoundError:
+                warnings.warn(f"ingest: watch root vanished: {root}", stacklevel=3)
                 continue
             for path in paths:
                 try:
+                    # chaos site: an oserror-kind fault simulates a path
+                    # that transiently cannot be stat'ed (NFS hiccup,
+                    # racing chmod)
+                    fault_point("watch.stat", path=path)
                     stat = path.stat()
-                except OSError:
-                    # transiently unstatable: keep the old snapshot entry
-                    # and emit nothing -- a live file must never turn
-                    # into a delete event
+                except OSError as error:
+                    # keep the old snapshot entry and emit nothing -- a
+                    # live file must never turn into a delete event
+                    warnings.warn(
+                        f"watch: cannot stat {path} ({error}); skipping",
+                        stacklevel=3,
+                    )
                     unstatable.add(path)
                     continue
                 signature = (stat.st_size, stat.st_mtime_ns)
@@ -360,7 +393,6 @@ class PollWatcher:
             if root is not None:
                 events.append(FileEvent(EVENT_DELETE, root, path))
         self._snapshot = seen
-        self._primed = True
         return events
 
     def _root_of(self, path: pathlib.Path) -> Optional[pathlib.Path]:
@@ -370,7 +402,9 @@ class PollWatcher:
         return None
 
     def close(self) -> None:
+        self._closed.set()
         self._snapshot.clear()
+        self._pending = []
 
     def __enter__(self) -> "PollWatcher":
         return self

@@ -1,21 +1,31 @@
 """Event-driven ingest: watcher events -> bounded queue -> drain -> registry.
 
-:class:`EventIngestService` replaces the :class:`~repro.registry.watch
-.WatchDaemon` poll walk with a push pipeline while keeping its verdict
-semantics bit for bit: drained work goes through the same
+:class:`EventIngestService` is the one continuous-ingest path: it backs
+``scamdetect watch`` (on the inotify backend, or the ``poll`` backend for
+network mounts) and the ``serve --ingest-queue`` drain worker behind
+``POST /v1/ingest``.  Drained work goes through the
 :class:`~repro.service.batch.BatchScanner` (graph cache, cascade tier-0,
-shard pool, registry short-circuit), sightings land via the same
-``upsert_watched_files`` call, and every verdict that is new for a path
-runs the same :class:`~repro.registry.rules.RulesEngine` triage.  A
-corpus mutation replayed through the event path and through
-``poll_once`` must produce byte-identical registry rows.
+shard pool, registry short-circuit), sightings land in the registry's
+watched-file index via ``upsert_watched_files``, and every verdict that is
+new for a path runs the optional :class:`~repro.registry.rules.RulesEngine`
+triage.  Both watcher backends write byte-identical registry rows.
+
+Every observed file meets three short-circuits, cheapest first:
+
+1. **stat short-circuit** -- a path whose ``(size, mtime_ns)`` matches the
+   watched-file index is *unchanged*: no read, no hash, no scan;
+2. **registry short-circuit** -- a new or changed file is read and hashed;
+   bytecode already recorded under this model (a clone, a re-drop, a
+   restart) is served from its stored row with zero lowering and zero
+   inference;
+3. only unseen bytecode reaches lowering and the model.
 
 The pipeline has three stages, each behind its own chaos site:
 
-1. **pump** (``ingest.event``) -- drain the watcher's kernel/poll events,
-   stat + stable-read the changed paths, classify them (changed > new >
-   re-seen) and enqueue.  A full queue stalls the pump (events are
-   retained), it never drops observations.
+1. **pump** (``ingest.event``) -- drain the watcher's events, stat
+   (``watch.stat``) + stable-read the changed paths, classify them
+   (changed > new > re-seen) and enqueue.  A full queue stalls the pump
+   (events are retained), it never drops observations.
 2. **queue** (``ingest.enqueue``) -- the bounded
    :class:`~repro.ingest.queue.IngestQueue`; duplicates coalesce so an
    identical-contract flood costs one scan.
@@ -23,9 +33,9 @@ The pipeline has three stages, each behind its own chaos site:
    injected fault after dequeue re-queues the batch: verdicts are never
    lost to chaos.
 
-The service runs synchronously (:meth:`cycle` -- what the tests and the
-E15 benchmark reason about) or threaded (:meth:`start` -- the
-``serve --ingest-queue`` drain worker behind ``POST /v1/ingest``).
+The service runs synchronously (:meth:`backfill`, :meth:`cycle` and
+:meth:`run` -- what ``watch``, the tests and the E11/E15 benchmarks
+drive) or threaded (:meth:`start` -- the push-only server mode).
 """
 
 from __future__ import annotations
@@ -57,9 +67,9 @@ from repro.ingest.queue import (
 )
 from repro.registry.rules import RulesEngine
 from repro.registry.store import ScanRegistry, content_sha256
-# NOT ``from repro.registry.watch import stable_read``: watch.py imports
-# the service stack, which imports this package -- binding the module and
-# resolving the attribute at call time keeps the cycle harmless
+
+# reads go through the module attribute, resolved at call time, so
+# instrumentation that wraps ``repro.registry.watch.stable_read`` sees them
 from repro.registry import watch as _watch
 from repro.obs.trace import carrier, emit_span, trace
 from repro.resilience.faults import InjectedFault, fault_point
@@ -70,7 +80,11 @@ PathLike = Union[str, pathlib.Path]
 
 @dataclass
 class IngestStats:
-    """Cumulative ingest telemetry (deltas per cycle via :meth:`delta`)."""
+    """Cumulative ingest telemetry (deltas per cycle via :meth:`delta`).
+
+    ``short_circuits`` / ``escalations`` / ``disagreements`` are the tier-0
+    cascade counters of the drained scans (zero with the cascade off).
+    """
 
     cycles: int = 0
     events: int = 0
@@ -90,6 +104,9 @@ class IngestStats:
     malicious: int = 0
     rules_matched: int = 0
     alerts: int = 0
+    short_circuits: int = 0
+    escalations: int = 0
+    disagreements: int = 0
     faulted_cycles: int = 0
     faulted_drains: int = 0
     exit_nonzero: bool = False
@@ -129,6 +146,11 @@ class IngestStats:
             summary += (
                 f", {self.rules_matched} rule matches ({self.alerts} alerts)"
             )
+        if self.short_circuits or self.escalations:
+            summary += (
+                f", cascade {self.short_circuits} short-circuited"
+                f"/{self.escalations} escalated"
+            )
         if self.faulted_cycles or self.faulted_drains:
             summary += (
                 f", {self.faulted_cycles + self.faulted_drains} faulted"
@@ -149,8 +171,8 @@ class EventIngestService:
         roots: Zero or more watch roots.  Empty means *push-only* (the
             ``serve --ingest-queue`` mode: work arrives exclusively via
             :meth:`submit_bytes`).
-        pattern: Glob filter over file names (``iter_contract_files``
-            semantics).
+        pattern: Glob filter over paths relative to a root
+            (:func:`~repro.service.batch.is_contract_path` semantics).
         recursive: Recurse into subdirectories.
         rules: Optional triage rules evaluated on drained verdicts.
         queue_capacity: Bound of the ingest queue (the backpressure knob).
@@ -215,8 +237,8 @@ class EventIngestService:
 
     @staticmethod
     def _root_labels(roots: Sequence[pathlib.Path]) -> Dict[pathlib.Path, str]:
-        """Unique short label per root (ids stay poll-compatible for a
-        single root: bare relative paths, no prefix)."""
+        """Unique short label per root (a single root's ids are bare
+        relative paths, as in ``scan-batch``)."""
         if len(roots) <= 1:
             return {root: "" for root in roots}
         labels: Dict[pathlib.Path, str] = {}
@@ -314,6 +336,7 @@ class EventIngestService:
     def _apply_event(self, event: FileEvent) -> None:
         if event.kind == EVENT_UPSERT:
             self._classify_enqueue(event.root, event.path)
+            self.stats.upserts += 1
         elif event.kind == EVENT_DELETE:
             self._mark_deleted([self._sample_id(event.root, event.path)])
         elif event.kind == EVENT_RMDIR:
@@ -325,7 +348,7 @@ class EventIngestService:
             self._mark_deleted(doomed)
         elif event.kind == EVENT_OVERFLOW:
             self.stats.resyncs += 1
-            self._walk_roots(sweep=True)
+            self._walk_roots()
 
     def _mark_deleted(self, paths: List[str]) -> None:
         live = [path for path in paths if path in self._index]
@@ -338,15 +361,22 @@ class EventIngestService:
 
     def _classify_enqueue(self, root: pathlib.Path, path: pathlib.Path) -> None:
         """Stat + read + classify one changed path, then enqueue."""
-        if not _is_contract_path(path):
-            return
         sample_id = self._sample_id(root, path)
         try:
+            # chaos site: an oserror-kind fault simulates a path that
+            # transiently cannot be stat'ed (NFS hiccup, racing chmod)
+            fault_point("watch.stat", path=path)
             stat = path.stat()
-        except OSError:
-            # create-then-delete race or transient stat failure: never a
-            # delete (the watcher's delete event owns that), never fatal
+        except OSError as error:
+            # never a delete (the watcher's delete event and the walk's
+            # sweep own that), never fatal
             self.stats.skipped += 1
+            if not isinstance(error, FileNotFoundError):
+                # a vanished file is a create-then-delete race, not news
+                warnings.warn(
+                    f"watch: cannot stat {path} ({error}); skipping",
+                    stacklevel=2,
+                )
             return
         known = self._index.get(sample_id)
         signature = (stat.st_size, stat.st_mtime_ns)
@@ -454,7 +484,12 @@ class EventIngestService:
                 )
                 self.stats.malicious += result.num_malicious
                 self.stats.inference_calls += sum(result.batch_sizes.values())
-                self._triage(items, result.reports)
+                cascade = result.cascade_stats
+                if cascade is not None:
+                    self.stats.short_circuits += cascade["short_circuits"]
+                    self.stats.escalations += cascade["escalations"]
+                    self.stats.disagreements += cascade["disagreements"]
+                self._triage(items, result.reports, result.model_identity)
                 for item in items:
                     sightings.extend(item.sightings)
             if sightings:
@@ -474,10 +509,12 @@ class EventIngestService:
                     sha256=item.sha256[:16],
                 )
 
-    def _triage(self, items: List[IngestItem], reports) -> None:
+    def _triage(self, items: List[IngestItem], reports, identity: str) -> None:
         if self.rules is None:
             return
-        identity = self.detector.model_identity()
+        # registry-level matcher context for the live path: fresh verdicts
+        # carry no tags yet, were scanned "now", and were scored by the
+        # model identity the scan itself used
         now = time.time()
         for item, report in zip(items, reports):
             for sample_id in item.sample_ids:
@@ -501,14 +538,15 @@ class EventIngestService:
     # ------------------------------------------------------------------ #
     # synchronous driving
 
-    def backfill(self) -> int:
+    def backfill(self) -> IngestStats:
         """Cold start: walk the roots once, enqueue-and-drain everything,
-        and sweep index entries whose files are gone.  Returns the number
-        of paths enqueued."""
-        return self._walk_roots(sweep=True)
+        and sweep index entries whose files are gone.  Returns the
+        counters it added."""
+        before = dataclasses.replace(self.stats)
+        self._walk_roots()
+        return self.stats.delta(before)
 
-    def _walk_roots(self, sweep: bool) -> int:
-        enqueued_before = self.stats.enqueued + self.stats.deduped
+    def _walk_roots(self) -> None:
         present: set = set()
         for root in self.roots:
             for path in iter_contract_files(
@@ -525,12 +563,10 @@ class EventIngestService:
                         self.stats.backpressure_stalls += 1
                         if self.drain() == 0:
                             raise
-        if sweep:
-            self._mark_deleted(
-                [path for path in self._index if path not in present]
-            )
+        # a path that exists but could not be stat'ed is still present:
+        # only files the walk no longer finds are swept
+        self._mark_deleted([path for path in self._index if path not in present])
         self.drain()
-        return self.stats.enqueued + self.stats.deduped - enqueued_before
 
     def cycle(self, timeout: float = 0.0) -> IngestStats:
         """One pump+drain round; returns this cycle's counter deltas."""
@@ -548,10 +584,12 @@ class EventIngestService:
     ) -> int:
         """Cycle until :meth:`stop` (or ``max_cycles``), then drain.
 
-        The watcher wait happens *inside* the cycle (``timeout``), so an
-        event lands at kernel latency, not at poll-interval latency.  On
-        stop the queue is drained to empty before returning -- a SIGTERM
-        never strands admitted work.
+        The watcher wait happens *inside* the cycle (``timeout``): on
+        inotify an event lands at kernel latency, not at interval latency;
+        the poll backend walks once per cycle and waits out the rest of
+        ``interval`` when nothing changed.  Either way :meth:`stop` takes
+        effect within one interval.  On stop the queue is drained to empty
+        before returning -- a SIGTERM never strands admitted work.
         """
         if self.watcher is None:
             raise RuntimeError(
@@ -637,16 +675,3 @@ class EventIngestService:
             "queue": self.queue.snapshot(),
             "stats": self.stats.to_dict(),
         }
-
-
-def _is_contract_path(path: pathlib.Path) -> bool:
-    """Event-path twin of ``iter_contract_files``'s file filter."""
-    # deferred import mirrors batch.py's walk rules without re-exporting
-    from repro.service.batch import _NON_CONTRACT_SUFFIXES
-    from repro.service.cache import DISK_META_FILENAME
-
-    return not (
-        path.name.startswith(".")
-        or path.name == DISK_META_FILENAME
-        or path.suffix in _NON_CONTRACT_SUFFIXES
-    )

@@ -158,7 +158,6 @@ def render_prometheus(
 
     requests = dict(snapshot.get("requests", {}))
     total = requests.pop("total", 0)
-    deprecated = requests.pop("deprecated", 0)
     out.family(
         "requests_total", "counter", "HTTP requests served, by endpoint."
     )
@@ -166,12 +165,6 @@ def render_prometheus(
         out.sample("requests_total", count, {"endpoint": endpoint})
     if not requests and total:
         out.sample("requests_total", total, {"endpoint": "unknown"})
-    out.metric(
-        "requests_deprecated_total",
-        "counter",
-        "Requests served on deprecated unversioned paths.",
-        deprecated,
-    )
     out.metric(
         "errors_total",
         "counter",

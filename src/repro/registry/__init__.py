@@ -1,4 +1,4 @@
-"""Persistent verdict registry, watch daemon, and triage rules.
+"""Persistent verdict registry and triage rules.
 
 This package is the stateful layer over the scanning service stack:
 
@@ -8,9 +8,9 @@ This package is the stateful layer over the scanning service stack:
   and keyset-cursor pagination.
 * :mod:`repro.registry.partition` -- :class:`PartitionedScanRegistry`,
   the fleet-scale layout: one database per platform behind the same API.
-* :mod:`repro.registry.watch` -- :class:`WatchDaemon`, the continuous
-  ingestion path: poll a directory, scan only unseen bytecode, record
-  verdicts durably (``scamdetect watch DIR``).
+* :mod:`repro.registry.watch` -- :func:`~repro.registry.watch.stable_read`,
+  the stat-consistent file read of the ingest tier
+  (:mod:`repro.ingest`, behind ``scamdetect watch DIR``).
 * :mod:`repro.registry.rules` -- the declarative TOML triage rules engine
   (tag / JSONL alert / webhook / exit-nonzero) evaluated on new verdicts.
 * :mod:`repro.registry.compile` -- the rule-to-SQL compiler turning those
@@ -52,7 +52,6 @@ from repro.registry.store import (
     encode_cursor,
 )
 from repro.registry.triage import RetroTriage, RetroTriageResult, rules_digest
-from repro.registry.watch import PollStats, WatchDaemon
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -79,6 +78,4 @@ __all__ = [
     "TriageRule",
     "load_rules",
     "parse_rules",
-    "PollStats",
-    "WatchDaemon",
 ]

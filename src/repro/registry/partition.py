@@ -8,7 +8,7 @@ per platform (``registry-evm.db``, ``registry-wasm.db``, ...) while
 presenting the exact :class:`~repro.registry.store.ScanRegistry` surface,
 so :class:`~repro.service.batch.BatchScanner`,
 :class:`~repro.service.server.ScanServer`,
-:class:`~repro.registry.watch.WatchDaemon`, and
+:class:`~repro.ingest.service.EventIngestService`, and
 :class:`~repro.registry.triage.RetroTriage` all run unchanged on top of it
 -- writers on different platforms never contend, which is where fleet
 write contention actually concentrates (each chain's ingest feed is its
@@ -123,7 +123,7 @@ class PartitionedScanRegistry:
 
     @fingerprint.setter
     def fingerprint(self, value: str) -> None:
-        # callers (BatchScanner, ScanServer, WatchDaemon) assign the scope
+        # the scan engine assigns the scope
         # after validating it; propagate so every partition agrees
         self._fingerprint = value
         for registry in self.partitions.values():

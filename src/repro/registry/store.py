@@ -14,7 +14,7 @@ bytecode, graph fingerprint)``, so
 Durability/concurrency model (mirrors the incremental read-model shape of
 ``azuline/rose``'s cache layer):
 
-* **WAL journal mode** so the watch daemon can write while CLI ``query`` /
+* **WAL journal mode** so ``scamdetect watch`` can write while CLI ``query`` /
   HTTP ``GET /verdicts`` readers run concurrently, also across processes.
 * **Schema versioning** via ``PRAGMA user_version`` with ordered, in-place
   migrations -- opening an old registry upgrades it; opening a *newer*
@@ -341,7 +341,7 @@ class TriageRun:
 
 @dataclass
 class WatchedFile:
-    """One row of the ``watched_files`` table (the watch daemon's index)."""
+    """One row of the ``watched_files`` table (the ingest tier's file index)."""
 
     path: str
     fingerprint: str
@@ -1209,7 +1209,7 @@ class ScanRegistry:
     def watched_files(
         self, fingerprint: Optional[str] = None, include_deleted: bool = False
     ) -> Dict[str, WatchedFile]:
-        """The watch daemon's file index as ``{path: WatchedFile}``."""
+        """The ingest tier's file index as ``{path: WatchedFile}``."""
         fingerprint = self._scope(fingerprint)
         sql = (
             "SELECT path, fingerprint, sha256, size, mtime_ns,"

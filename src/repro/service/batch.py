@@ -41,17 +41,47 @@ _NON_CONTRACT_SUFFIXES = frozenset(
 )
 
 
+def is_contract_path(
+    root: pathlib.Path,
+    path: pathlib.Path,
+    pattern: str = "*",
+    recursive: bool = True,
+) -> bool:
+    """Whether a directory scan of ``root`` covers the file at ``path``.
+
+    The one selection rule shared by :func:`iter_contract_files` and the
+    ingest tier's event path, so a watcher reports exactly the files a
+    ``scan-batch`` over the same directory would scan.  Decided from the
+    path alone (no filesystem access):
+
+    * nothing under a hidden component (``.name``) is a contract;
+    * graph-cache files and SQLite registries (plus their WAL sidecars)
+      are never contracts;
+    * ``pattern`` is matched against the path relative to ``root``; it may
+      contain ``/`` to constrain directories (``sub/*.bin`` matches a
+      ``sub`` directory at any depth when recursive);
+    * ``recursive=False`` keeps only the top level.
+    """
+    rel = path.relative_to(root)
+    if any(part.startswith(".") for part in rel.parts):
+        return False
+    if path.name == DISK_META_FILENAME or path.suffix in _NON_CONTRACT_SUFFIXES:
+        return False
+    if not recursive and len(rel.parts) != 1:
+        return False
+    return rel.match(pattern)
+
+
 def iter_contract_files(
     directory: PathLike, pattern: str = "*", recursive: bool = True
 ):
     """Yield the contract files a directory scan covers, sorted by path.
 
-    The single source of truth for what counts as a scannable file --
-    :meth:`BatchScanner.scan_directory`, the sharded engine and the
-    :class:`~repro.registry.watch.WatchDaemon` all walk through here, so a
-    watch cycle sees exactly the corpus a ``scan-batch`` over the same
-    directory would.  Hidden files, graph-cache files and SQLite registry
-    files are never contracts.
+    :meth:`BatchScanner.scan_directory`, the sharded engine, the ingest
+    tier's backfill and its poll backend all walk through here, and the
+    inotify backend filters events with the same :func:`is_contract_path`,
+    so every watcher sees exactly the corpus a ``scan-batch`` over the
+    same directory would.
 
     Args:
         directory: Root directory (must exist).
@@ -67,14 +97,8 @@ def iter_contract_files(
         raise FileNotFoundError(f"scan directory not found: {root}")
     walker = root.rglob(pattern) if recursive else root.glob(pattern)
     for path in sorted(walker):
-        if (
-            not path.is_file()
-            or path.name.startswith(".")
-            or path.name == DISK_META_FILENAME
-            or path.suffix in _NON_CONTRACT_SUFFIXES
-        ):
-            continue
-        yield path
+        if is_contract_path(root, path, pattern, recursive) and path.is_file():
+            yield path
 
 
 def read_contract_file(path: PathLike) -> bytes:
@@ -217,6 +241,8 @@ class BatchScanResult(ScanSummary):
             threshold -- only the safety margin escalated them; any rise
             means the pre-filter is drifting towards missing malicious
             contracts).
+        model_identity: The model identity the registry lookup used (None
+            without a registry); the ingest tier's triage reuses it.
     """
 
     elapsed_seconds: float = 0.0
@@ -227,6 +253,7 @@ class BatchScanResult(ScanSummary):
     shard_stats: Dict[str, Dict[str, object]] = field(default_factory=dict)
     registry_hits: int = 0
     cascade_stats: Optional[Dict[str, int]] = None
+    model_identity: Optional[str] = None
 
     @classmethod
     def from_outcome(
@@ -243,6 +270,7 @@ class BatchScanResult(ScanSummary):
             shard_stats=outcome.shard_stats,
             registry_hits=outcome.registry_hits,
             cascade_stats=outcome.cascade_stats,
+            model_identity=outcome.model_identity,
         )
 
     @property
@@ -370,12 +398,12 @@ class ScanEntryPoints:
 
         ``.hex`` files are parsed as hex text (``0x`` prefix and line wraps
         allowed); everything else is read as raw binary.  Sample ids are the
-        paths relative to ``directory``.  Hidden files, the graph cache's
-        own files (``cache-meta.json``, ``*.npz``) and SQLite registries
-        are skipped, so pointing this at a directory that also holds a
-        cache tier or verdict registry is safe.  ``recursive=False``
+        paths relative to ``directory``.  Hidden files and directories, the
+        graph cache's own files (``cache-meta.json``, ``*.npz``) and SQLite
+        registries are skipped, so pointing this at a directory that also
+        holds a cache tier or verdict registry is safe.  ``recursive=False``
         restricts the walk to the top level; ``pattern`` may contain ``/``
-        to filter by subdirectory.
+        to filter by subdirectory (see :func:`is_contract_path`).
 
         A file that cannot be read, is empty, or (for ``.hex``) does not
         decode is *skipped with a warning* instead of aborting the whole

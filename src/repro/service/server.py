@@ -16,10 +16,9 @@ live scan traffic.  The API is versioned under ``/v1/``:
   :class:`~repro.registry.store.ScanRegistry` (scan traffic is recorded into
   it, and registry hits skip inference entirely).
 
-The unversioned paths (``/scan``, ``/healthz``, ...) remain as deprecated
-aliases: they behave identically but answer with a ``Deprecation: true``
-header and a ``Link: </v1/...>; rel="successor-version"`` pointer.  Errors
-are a uniform JSON envelope either way::
+An unversioned path (``/scan``, ``/healthz``, ...) is answered like any
+unknown path: ``404`` with code ``not_found``.  Errors are a uniform JSON
+envelope::
 
     {"error": {"code": "overloaded", "message": "...", "retry_after": 1}}
 
@@ -78,7 +77,7 @@ DEFAULT_PORT = 8742
 #: Largest accepted request body; anything bigger is rejected with 413.
 MAX_BODY_BYTES = 32 * 1024 * 1024
 
-#: Current API version prefix; unversioned paths are deprecated aliases.
+#: Current API version prefix; every route lives under it.
 API_PREFIX = "/v1"
 
 #: Default (and maximum) page size of ``GET /v1/verdicts``.
@@ -147,17 +146,14 @@ class ServerMetrics:
         self.batch_sizes: Dict[int, int] = {}
         self.registry_hits = 0
         self.registry_misses = 0
-        self.deprecated_requests = 0
         self.cascade_short_circuits = 0
         self.cascade_escalations = 0
         self.cascade_disagreements = 0
         self._latencies: Dict[str, deque] = {}
 
-    def record_request(self, endpoint: str, deprecated: bool = False) -> None:
+    def record_request(self, endpoint: str) -> None:
         with self._lock:
             self.requests[endpoint] = self.requests.get(endpoint, 0) + 1
-            if deprecated:
-                self.deprecated_requests += 1
 
     def record_error(self) -> None:
         with self._lock:
@@ -233,7 +229,6 @@ class ServerMetrics:
             batch_sizes = dict(self.batch_sizes)
             registry_hits = self.registry_hits
             registry_misses = self.registry_misses
-            deprecated = self.deprecated_requests
             cascade = {
                 "short_circuits": self.cascade_short_circuits,
                 "escalations": self.cascade_escalations,
@@ -269,7 +264,6 @@ class ServerMetrics:
             "uptime_seconds": self.uptime_seconds,
             "requests": {
                 "total": sum(requests.values()),
-                "deprecated": deprecated,
                 **requests,
             },
             "errors": errors,
@@ -601,24 +595,12 @@ class _ScanHTTPRequestHandler(BaseHTTPRequestHandler):
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass  # access logging would swamp the smoke tests; metrics cover it
 
-    def _route(self, path: str) -> Tuple[str, bool]:
-        """Strip the version prefix; returns ``(bare path, deprecated)``.
-
-        ``/v1/scan`` -> ``("/scan", False)``; the unversioned alias
-        ``/scan`` -> ``("/scan", True)`` and every response to it carries
-        the deprecation headers.
-        """
+    def _route(self, path: str) -> Optional[str]:
+        """Strip the version prefix: ``/v1/scan`` -> ``/scan``; None for an
+        unversioned path, which answers 404."""
         if path == API_PREFIX or path.startswith(API_PREFIX + "/"):
-            return path[len(API_PREFIX):] or "/", False
-        return path, True
-
-    def _deprecation_headers(self, bare_path: str) -> Dict[str, str]:
-        return {
-            "Deprecation": "true",
-            "Link": (
-                f"<{API_PREFIX}{bare_path}>; rel=\"successor-version\""
-            ),
-        }
+            return path[len(API_PREFIX):] or "/"
+        return None
 
     def _send_json(
         self,
@@ -635,19 +617,11 @@ class _ScanHTTPRequestHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
-    def _send_text(
-        self,
-        status: int,
-        body: str,
-        content_type: str,
-        headers: Optional[Dict[str, str]] = None,
-    ) -> None:
+    def _send_text(self, status: int, body: str, content_type: str) -> None:
         payload = body.encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(payload)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(payload)
 
@@ -657,9 +631,8 @@ class _ScanHTTPRequestHandler(BaseHTTPRequestHandler):
         message: str,
         code: Optional[str] = None,
         retry_after: Optional[int] = None,
-        extra_headers: Optional[Dict[str, str]] = None,
     ) -> None:
-        headers = dict(extra_headers or {})
+        headers = {}
         if retry_after is not None:
             headers["Retry-After"] = str(retry_after)
         self._send_json(
@@ -758,13 +731,12 @@ class _ScanHTTPRequestHandler(BaseHTTPRequestHandler):
     def do_GET(self) -> None:  # noqa: N802 - stdlib handler name
         server = self.scan_server
         parsed = urllib.parse.urlsplit(self.path)
-        path, deprecated = self._route(parsed.path)
-        headers = self._deprecation_headers(path) if deprecated else None
+        path = self._route(parsed.path)
         if path == "/healthz":
-            server.metrics.record_request("healthz", deprecated)
-            self._send_json(200, server.health(), headers=headers)
+            server.metrics.record_request("healthz")
+            self._send_json(200, server.health())
         elif path == "/metrics":
-            server.metrics.record_request("metrics", deprecated)
+            server.metrics.record_request("metrics")
             query = urllib.parse.parse_qs(parsed.query)
             formats = query.get("format", ["json"])
             snapshot = server.metrics.snapshot(
@@ -787,10 +759,9 @@ class _ScanHTTPRequestHandler(BaseHTTPRequestHandler):
                         fault_injection_armed=active_injector() is not None,
                     ),
                     "text/plain; version=0.0.4; charset=utf-8",
-                    headers=headers,
                 )
             elif formats[-1] == "json":
-                self._send_json(200, snapshot, headers=headers)
+                self._send_json(200, snapshot)
             else:
                 server.metrics.record_error()
                 self._send_error_json(
@@ -798,10 +769,11 @@ class _ScanHTTPRequestHandler(BaseHTTPRequestHandler):
                     f"unknown metrics format {formats[-1]!r} "
                     f"(use 'json' or 'prometheus')",
                     code="bad_request",
-                    extra_headers=headers,
                 )
-        elif path == "/verdicts" or path.startswith("/verdicts/"):
-            server.metrics.record_request("verdicts", deprecated)
+        elif path is not None and (
+            path == "/verdicts" or path.startswith("/verdicts/")
+        ):
+            server.metrics.record_request("verdicts")
             try:
                 if path == "/verdicts":
                     payload = server.verdicts_index(
@@ -811,15 +783,10 @@ class _ScanHTTPRequestHandler(BaseHTTPRequestHandler):
                     payload = server.verdicts_detail(
                         path[len("/verdicts/"):]
                     )
-                self._send_json(200, payload, headers=headers)
+                self._send_json(200, payload)
             except _RequestError as error:
                 server.metrics.record_error()
-                self._send_error_json(
-                    error.status,
-                    str(error),
-                    code=error.code,
-                    extra_headers=headers,
-                )
+                self._send_error_json(error.status, str(error), code=error.code)
         else:
             server.metrics.record_error()
             self._send_error_json(
@@ -828,8 +795,7 @@ class _ScanHTTPRequestHandler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:  # noqa: N802 - stdlib handler name
         server = self.scan_server
-        path, deprecated = self._route(self.path)
-        headers = self._deprecation_headers(path) if deprecated else None
+        path = self._route(self.path)
         routes = {
             "/scan": ("scan", self._handle_scan),
             "/scan-batch": ("scan_batch", self._handle_scan_batch),
@@ -842,7 +808,7 @@ class _ScanHTTPRequestHandler(BaseHTTPRequestHandler):
             )
             return
         endpoint, handler = routes[path]
-        server.metrics.record_request(endpoint, deprecated)
+        server.metrics.record_request(endpoint)
         started = time.perf_counter()
         try:
             # obs root: one served request = one trace; every span the
@@ -855,18 +821,11 @@ class _ScanHTTPRequestHandler(BaseHTTPRequestHandler):
                 status, payload = handler()
         except _RequestError as error:
             server.metrics.record_error()
-            self._send_error_json(
-                error.status,
-                str(error),
-                code=error.code,
-                extra_headers=headers,
-            )
+            self._send_error_json(error.status, str(error), code=error.code)
             return
         except ServerShuttingDown as error:
             server.metrics.record_error()
-            self._send_error_json(
-                503, str(error), code="shutting_down", extra_headers=headers
-            )
+            self._send_error_json(503, str(error), code="shutting_down")
             return
         except ServerOverloaded as error:
             server.metrics.record_error()
@@ -875,7 +834,6 @@ class _ScanHTTPRequestHandler(BaseHTTPRequestHandler):
                 str(error),
                 code="overloaded",
                 retry_after=self._retry_after_seconds(),
-                extra_headers=headers,
             )
             return
         except InjectedFault as error:
@@ -887,7 +845,6 @@ class _ScanHTTPRequestHandler(BaseHTTPRequestHandler):
                 f"transient fault: {error}",
                 code="transient_fault",
                 retry_after=self._retry_after_seconds(),
-                extra_headers=headers,
             )
             return
         except ValueError as error:
@@ -898,7 +855,6 @@ class _ScanHTTPRequestHandler(BaseHTTPRequestHandler):
                 400,
                 f"bytecode rejected: {error}",
                 code="bad_request",
-                extra_headers=headers,
             )
             return
         except Exception as error:  # noqa: BLE001 - last-resort 500
@@ -907,11 +863,10 @@ class _ScanHTTPRequestHandler(BaseHTTPRequestHandler):
                 500,
                 f"internal error: {error}",
                 code="internal",
-                extra_headers=headers,
             )
             return
         server.metrics.record_latency(endpoint, time.perf_counter() - started)
-        self._send_json(status, payload, headers=headers)
+        self._send_json(status, payload)
 
     # -------------------------------------------------------------- #
 

@@ -2,7 +2,7 @@
 
 The contract under test, across every scan entry point (single-contract
 ``scan``, ``BatchScanner``, the sharded pool at 1 and 2 shards, the scan
-server's coalesced batch path, and a watch cycle followed by a registry
+server's coalesced batch path, and a watch backfill followed by a registry
 query):
 
 * every contract the cascade escalates produces a report *byte-identical*
@@ -23,7 +23,8 @@ from repro.core.config import ScamDetectConfig
 from repro.core.detector import ScamDetector
 from repro.datasets.corpus import Corpus
 from repro.datasets.generator import CorpusGenerator, GeneratorConfig
-from repro.registry import ScanRegistry, WatchDaemon, content_sha256
+from repro.ingest import EventIngestService
+from repro.registry import ScanRegistry, content_sha256
 from repro.service import BatchScanner, ServerClient, ShardedScanner
 from repro.service.server import ScanServer
 
@@ -233,7 +234,7 @@ def test_server_coalesced_parity_and_metrics(detector, scan_corpus,
 
 
 # --------------------------------------------------------------------------- #
-# watch daemon -> registry query
+# watch (the ingest service) -> registry query
 
 
 def test_watch_then_query_byte_identical(detector, scan_corpus, tmp_path):
@@ -244,12 +245,13 @@ def test_watch_then_query_byte_identical(detector, scan_corpus, tmp_path):
 
     with ScanRegistry.for_config(tmp_path / "verdicts.db",
                                  detector.config) as registry:
-        with WatchDaemon(detector, registry, feed) as daemon:
-            stats = daemon.poll_once()
+        with EventIngestService(detector, registry, roots=[feed],
+                                backend="poll") as service:
+            stats = service.backfill()
         assert stats.scanned == len(scan_corpus)
-        assert stats.cascade is not None
-        assert stats.cascade["short_circuits"] > 0
-        assert stats.cascade["disagreements"] == 0
+        assert stats.short_circuits > 0
+        assert stats.short_circuits + stats.escalations == len(scan_corpus)
+        assert stats.disagreements == 0
         assert "cascade" in stats.format()
 
         oracle = {f"{sample.sample_id}.bin": detector.scan(

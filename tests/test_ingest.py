@@ -1,7 +1,8 @@
 """Tests of the event-driven ingest tier: watcher, queue, drain, HTTP.
 
-Locks the PR's acceptance invariants: the event path records verdicts
-byte-identical to the polling daemon over the same corpus; a full queue
+Locks the ingest tier's acceptance invariants: the inotify and poll
+backends record byte-identical verdicts and select the same files as a
+``scan-batch`` walk; a poll-backend cycle waits out its interval; a full queue
 backpressures (503 + Retry-After over HTTP, a stalled pump on the watch
 path) instead of buffering; an identical-contract flood coalesces to one
 scan; and stopping the service drains every admitted item -- SIGTERM
@@ -34,8 +35,8 @@ from repro.ingest import (
     PRIORITY_RESEEN,
     open_watcher,
 )
-from repro.registry import RulesEngine, ScanRegistry, WatchDaemon, \
-    content_sha256, parse_rules
+from repro.registry import RulesEngine, ScanRegistry, content_sha256, \
+    parse_rules
 from repro.resilience import FaultPlan, FaultSpec, fault_plan
 
 FAST = ScamDetectConfig(epochs=3, num_layers=1, hidden_features=8)
@@ -241,8 +242,130 @@ def test_open_watcher_backend_selection(tmp_path):
         open_watcher([tmp_path], backend="carrier-pigeon")
 
 
+def test_poll_backend_cycle_waits_out_its_interval(trained_detector, feed,
+                                                   registry, monkeypatch):
+    import threading
+
+    import repro.ingest.events as events_module
+
+    walks = []
+    real_walk = events_module.iter_contract_files
+
+    def counting_walk(*args, **kwargs):
+        walks.append(args[0])
+        return real_walk(*args, **kwargs)
+
+    with EventIngestService(trained_detector, registry, roots=[feed],
+                            backend="poll") as service:
+        service.backfill()
+        service.cycle()  # the catch-up events of the backfilled tree
+        monkeypatch.setattr(events_module, "iter_contract_files",
+                            counting_walk)
+        started = time.monotonic()
+        assert service.run(interval=0.2, max_cycles=3) == 3
+        elapsed = time.monotonic() - started
+        # an unchanged tree is walked once per interval, not back to back
+        assert elapsed >= 0.4, f"3 quiet cycles took {elapsed:.3f}s"
+        assert len(walks) <= 4, f"{len(walks)} walks in {elapsed:.3f}s"
+
+        # stop() lands within one interval, as on the inotify backend
+        stopper = threading.Timer(0.25, service.stop)
+        started = time.monotonic()
+        stopper.start()
+        try:
+            service.run(interval=0.2)
+        finally:
+            stopper.cancel()
+        assert time.monotonic() - started < 0.25 + 0.2 + 0.5
+
+
+def test_poll_backend_sees_deletes_between_backfill_and_first_cycle(
+        trained_detector, feed, registry):
+    # the poll watcher snapshots the tree when it is built, before the
+    # backfill: a file removed after the backfill walked past it must
+    # still reach the index as a delete on the first cycle
+    with EventIngestService(trained_detector, registry, roots=[feed],
+                            backend="poll") as service:
+        service.backfill()
+        removed = sorted(feed.glob("*.bin"))[0]
+        removed.unlink()
+        stats = service.cycle()
+    assert stats.deletes == 1
+    assert removed.name not in registry.watched_files()
+
+
+@pytest.mark.parametrize(
+    "backend", ["poll", pytest.param("inotify", marks=needs_inotify)])
+def test_event_and_walk_select_the_same_paths(trained_detector, tmp_path,
+                                              tiny_evm_corpus, backend):
+    from repro.service.batch import iter_contract_files
+
+    root = tmp_path / "tree"
+    codes = [sample.bytecode for sample in tiny_evm_corpus]
+
+    def write(rel, index):
+        path = root / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(codes[index % len(codes)])
+
+    # nested tree, non-.bin files, hidden file and directory
+    for index, rel in enumerate([
+            "top.bin", "other.raw", "other2.raw", "sub/x.bin", "sub/y.raw",
+            "a/sub/z.bin", "a/w.bin", ".hidden.bin", ".dot/h.bin",
+            "sub/.dot.bin"]):
+        write(rel, index)
+
+    def walk(pattern, recursive):
+        return {str(path.relative_to(root)) for path
+                in iter_contract_files(root, pattern, recursive=recursive)}
+
+    # the walk itself: nothing hidden, a slashed pattern at any depth
+    assert walk("*", True) == {"top.bin", "other.raw", "other2.raw",
+                               "sub/x.bin", "sub/y.raw", "a/sub/z.bin",
+                               "a/w.bin"}
+    assert walk("sub/*.bin", True) == {"sub/x.bin", "a/sub/z.bin"}
+    assert walk("*.bin", False) == {"top.bin"}
+
+    for case, (pattern, recursive) in enumerate(
+            [("*", True), ("sub/*.bin", True), ("*.bin", True),
+             ("*.bin", False)]):
+        # the registry lives inside the watched root (plus its WAL files)
+        with ScanRegistry.for_config(root / f"verdicts-{case}.db",
+                                     trained_detector.config) as registry:
+            with EventIngestService(
+                    trained_detector, registry, roots=[root],
+                    pattern=pattern, recursive=recursive,
+                    backend=backend) as service:
+                # startup catch-up events alone (no backfill walk)
+                service.cycle(timeout=0.1)
+                assert set(registry.watched_files()) \
+                    == walk(pattern, recursive), (pattern, recursive)
+
+                # live events, including a directory created after startup
+                for index, rel in enumerate([
+                        f"late-{case}.bin", f"late-{case}.raw",
+                        f"sub/late-{case}.bin", f"a/sub/late-{case}.raw",
+                        f".late-{case}.bin", f"new-{case}/sub/late.bin"]):
+                    write(rel, index + 3)
+                expected = walk(pattern, recursive)
+                deadline = time.monotonic() + 10.0
+                while time.monotonic() < deadline:
+                    service.cycle(timeout=0.1)
+                    if set(registry.watched_files()) == expected:
+                        break
+                service.cycle(timeout=0.2)  # stragglers that must not land
+                assert set(registry.watched_files()) == expected, \
+                    (pattern, recursive)
+                assert all(not row.source_path.startswith(".")
+                           and ".db" not in row.source_path
+                           for row in registry.query(limit=None))
+
+
 # --------------------------------------------------------------------------- #
-# the acceptance invariant: event path == poll path, byte for byte
+# the acceptance invariant: inotify backend == poll backend, byte for byte
+
+#: the kernel backend where this host has one (else both sides poll)
+EVENT_BACKEND = "inotify" if InotifyWatcher.available() else "poll"
 
 
 def report_rows(registry):
@@ -250,49 +373,58 @@ def report_rows(registry):
             for row in registry.query(limit=None)}
 
 
+def index_entries(registry):
+    return {path: (entry.sha256, entry.size, entry.mtime_ns)
+            for path, entry in registry.watched_files().items()}
+
+
 def test_event_ingest_matches_poll_daemon_byte_identical(
         trained_detector, feed, tmp_path):
-    with ScanRegistry.for_config(tmp_path / "poll.db",
-                                 trained_detector.config) as poll_registry:
-        WatchDaemon(trained_detector, poll_registry, feed).poll_once()
-        poll_rows = report_rows(poll_registry)
-        poll_index = poll_registry.watched_files()
-    assert poll_rows
-
-    with ScanRegistry.for_config(tmp_path / "event.db",
-                                 trained_detector.config) as event_registry:
-        with EventIngestService(trained_detector, event_registry,
-                                roots=[feed]) as service:
+    registries = {
+        backend: ScanRegistry.for_config(tmp_path / f"{backend}.db",
+                                         trained_detector.config)
+        for backend in ("poll", EVENT_BACKEND)}
+    services = {
+        backend: EventIngestService(trained_detector, registry,
+                                    roots=[feed], backend=backend)
+        for backend, registry in registries.items()}
+    try:
+        for service in services.values():
             service.backfill()
-            event_rows = report_rows(event_registry)
-            event_index = event_registry.watched_files()
-            assert event_rows == poll_rows
-            assert set(event_index) == set(poll_index)
-            for rel, entry in poll_index.items():
-                assert (event_index[rel].sha256, event_index[rel].size,
-                        event_index[rel].mtime_ns) == \
-                    (entry.sha256, entry.size, entry.mtime_ns)
+        poll, event = registries["poll"], registries[EVENT_BACKEND]
+        assert report_rows(poll)
+        assert report_rows(event) == report_rows(poll)
+        assert index_entries(event) == index_entries(poll)
 
-            # live change + delete flow through events with poll semantics
-            target = sorted(feed.glob("*.bin"))[0]
-            mutated = target.read_bytes() + b"\x00"
-            target.write_bytes(mutated)
-            removed = sorted(feed.glob("*.bin"))[1]
-            removed.unlink()
+        # live change + delete flow through both backends alike
+        target = sorted(feed.glob("*.bin"))[0]
+        mutated = target.read_bytes() + b"\x00"
+        target.write_bytes(mutated)
+        removed = sorted(feed.glob("*.bin"))[1]
+        removed.unlink()
+        for backend, service in services.items():
+            registry = registries[backend]
             deadline = time.monotonic() + 10.0
             while time.monotonic() < deadline:
                 service.cycle(timeout=0.1)
-                index = event_registry.watched_files()
+                index = registry.watched_files()
                 if (removed.name not in index
                         and index.get(target.name) is not None
                         and index[target.name].sha256
                         == content_sha256(mutated)):
                     break
             else:
-                pytest.fail("event service never caught up with the "
-                            "change + delete")
-            assert event_registry.get(content_sha256(mutated)) is not None
+                pytest.fail(f"{backend} service never caught up with the "
+                            f"change + delete")
+            assert registry.get(content_sha256(mutated)) is not None
             assert service.stats.deletes >= 1
+        assert report_rows(event) == report_rows(poll)
+        assert index_entries(event) == index_entries(poll)
+    finally:
+        for service in services.values():
+            service.close()
+        for registry in registries.values():
+            registry.close()
 
 
 def test_event_ingest_triage_rules_fire(trained_detector, feed, registry,
@@ -317,6 +449,41 @@ exit_nonzero = true
         assert service.exit_nonzero and service.stats.exit_nonzero
     alerts = [json.loads(line) for line in sink.read_text().splitlines()]
     assert len(alerts) == service.stats.malicious
+
+
+def test_triage_reuses_the_scan_model_identity(trained_detector, feed,
+                                               registry, monkeypatch):
+    # the model identity is a digest of every weight: the drain's triage
+    # reuses the value the scan computed instead of recomputing it
+    engine = RulesEngine(parse_rules("""
+[[rules]]
+name = "tag-scams"
+[rules.match]
+verdict = "malicious"
+[rules.actions]
+tag = ["hot"]
+"""))
+    calls = {"identity": 0, "scan": 0}
+    real_identity = trained_detector.model_identity
+
+    def counting_identity():
+        calls["identity"] += 1
+        return real_identity()
+
+    monkeypatch.setattr(trained_detector, "model_identity", counting_identity)
+    with EventIngestService(trained_detector, registry, roots=[feed],
+                            backend="poll", rules=engine,
+                            batch_size=8) as service:
+        real_scan = service.scanner.scan_codes
+
+        def counting_scan(*args, **kwargs):
+            calls["scan"] += 1
+            return real_scan(*args, **kwargs)
+
+        monkeypatch.setattr(service.scanner, "scan_codes", counting_scan)
+        service.backfill()
+    assert calls["scan"] == 3  # 24 files in drains of 8
+    assert calls["identity"] == calls["scan"]
 
 
 def test_enqueue_dedupe_flood_costs_one_scan(trained_detector, registry,
@@ -630,15 +797,3 @@ def test_watch_event_driven_cli_roundtrip(trained_detector, feed, tmp_path,
         assert len(rows) == oracle.num_scanned + 1
         index = registry.watched_files()
     assert any(rel.endswith("other.bin") for rel in index)
-
-
-def test_watch_root_flag_requires_event_driven(trained_detector, feed,
-                                               tmp_path):
-    from repro.cli import main
-
-    model_path = tmp_path / "model2"
-    trained_detector.save(model_path)
-    with pytest.raises(SystemExit, match="event-driven"):
-        main(["watch", str(feed), "--root", str(tmp_path),
-              "--model-path", str(model_path),
-              "--registry", str(tmp_path / "x.db")])

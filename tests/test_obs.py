@@ -353,7 +353,7 @@ def _populated_snapshot():
         for _ in range(n):
             metrics.record_request(endpoint)
             metrics.record_latency(endpoint, 0.012)
-    metrics.record_request("scan", deprecated=True)
+    metrics.record_request("scan")
     metrics.record_error()
     metrics.record_verdicts(6, 2)
     metrics.record_batch(4)
@@ -396,7 +396,6 @@ def test_render_prometheus_is_valid_exposition():
         "scamdetect_tracing_armed 1",
         "scamdetect_fault_injection_armed 0",
         'scamdetect_requests_total{endpoint="scan"} 6',
-        "scamdetect_requests_deprecated_total 1",
         "scamdetect_errors_total 1",
         'scamdetect_request_latency_ms{endpoint="scan",quantile="0.99"}',
         "scamdetect_contracts_scanned_total 6",
@@ -416,6 +415,8 @@ def test_render_prometheus_is_valid_exposition():
         "scamdetect_ingest_scanned_total 1",
     ):
         assert family in text, f"missing {family!r} in exposition"
+    # every route is versioned: there is no deprecated-traffic family
+    assert "requests_deprecated" not in text
 
 
 def test_render_prometheus_minimal_snapshot_valid():

@@ -465,7 +465,7 @@ def test_partitioned_triage_tags_across_partitions(pair):
 # fleet contention: concurrent writer processes, busy-retry hardening
 
 
-def _fleet_writer(path, worker, shas, rounds, queue):
+def _fleet_writer(path, worker, shas, rounds, queue, barrier):
     from repro.resilience import RetryPolicy
 
     registry = ScanRegistry(
@@ -477,6 +477,9 @@ def _fleet_writer(path, worker, shas, rounds, queue):
         # absorbed by the application-level retry, not sqlite's wait
         with registry._lock:
             registry._conn.execute("PRAGMA busy_timeout = 0")
+        # start writing together: forks of a large test process land tens
+        # of milliseconds apart, longer than one writer's whole run
+        barrier.wait(timeout=60)
         for index in range(rounds):
             sha = shas[(worker + index) % len(shas)]
             registry.record(sha, make_report(f"w{worker}-{index}"),
@@ -494,9 +497,11 @@ def test_fleet_writers_lose_no_updates_and_retry_busy(tmp_path):
     shas = [f"{index:064x}" for index in range(8)]
     writers, rounds = 4, 50
     queue = multiprocessing.Queue()
+    barrier = multiprocessing.Barrier(writers)
     processes = [
         multiprocessing.Process(target=_fleet_writer,
-                                args=(path, worker, shas, rounds, queue))
+                                args=(path, worker, shas, rounds, queue,
+                                      barrier))
         for worker in range(writers)
     ]
     for process in processes:

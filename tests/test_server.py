@@ -120,7 +120,7 @@ def test_negative_content_length_is_400(server):
     connection = http.client.HTTPConnection(server.host, server.port,
                                             timeout=10)
     try:
-        connection.putrequest("POST", "/scan", skip_host=False)
+        connection.putrequest("POST", "/v1/scan", skip_host=False)
         connection.putheader("Content-Length", "-1")
         connection.endheaders()
         response = connection.getresponse()
@@ -495,25 +495,37 @@ def _raw_get(port, path):
                 _json.loads(error.read() or b"{}"))
 
 
-def test_legacy_paths_alias_v1_with_deprecation_headers(server, client):
+def _raw_post(port, path, payload):
+    import json as _json
+    import urllib.error
+    import urllib.request
+
+    request = urllib.request.Request(
+        f"http://127.0.0.1:{port}{path}",
+        data=_json.dumps(payload).encode("utf-8"),
+        headers={"Content-Type": "application/json"}, method="POST")
+    try:
+        with urllib.request.urlopen(request, timeout=10.0) as response:
+            return (response.status, dict(response.headers),
+                    _json.loads(response.read() or b"{}"))
+    except urllib.error.HTTPError as error:
+        return (error.code, dict(error.headers),
+                _json.loads(error.read() or b"{}"))
+
+
+def test_unversioned_paths_answer_not_found(server, client):
     versioned = _raw_get(server.port, "/v1/healthz")
-    legacy = _raw_get(server.port, "/healthz")
-    assert versioned[0] == legacy[0] == 200
-    # same payload from both paths (uptime is the one moving part)
-    stable = lambda body: {key: value for key, value in body.items()
-                           if key not in ("uptime_seconds", "uptime_s")}
-    assert stable(versioned[2]) == stable(legacy[2])
+    assert versioned[0] == 200
     assert versioned[2]["api_version"] == "v1"
-    assert "Deprecation" not in versioned[1]
-    assert legacy[1]["Deprecation"] == "true"
-    assert legacy[1]["Link"] == '</v1/healthz>; rel="successor-version"'
-    # the deprecated-traffic counter advanced for the legacy hit only
-    requests = client.metrics()["requests"]
-    assert requests["deprecated"] >= 1
-    # the default client speaks /v1 (its own requests are not deprecated)
-    before = requests["deprecated"]
-    client.healthz()
-    assert client.metrics()["requests"]["deprecated"] == before
+    # every route lives under /v1: an unversioned path is an unknown path
+    for path in ("/healthz", "/metrics", "/verdicts", "/scan"):
+        status, headers, body = _raw_get(server.port, path)
+        assert status == 404, path
+        assert body["error"]["code"] == "not_found"
+        assert "Deprecation" not in headers and "Link" not in headers
+    status, _, body = _raw_post(server.port, "/scan", {"bytecode": "6001"})
+    assert status == 404 and body["error"]["code"] == "not_found"
+    assert "deprecated" not in client.metrics()["requests"]
 
 
 def test_error_envelope_shape_and_typed_client_errors(server, client):
@@ -668,24 +680,36 @@ def test_server_metrics_latency_window_edges():
 
 
 def test_latency_endpoint_labels_stable_across_v1_and_legacy(server, client):
+    before = client.metrics()["requests"].get("healthz", 0)
     _raw_get(server.port, "/healthz")
     _raw_get(server.port, "/v1/healthz")
     metrics = client.metrics()
-    # one canonical label per endpoint: the legacy alias records under the
-    # same key as /v1, so dashboards never see a split family
-    assert metrics["requests"]["healthz"] >= 2
+    # one canonical label per endpoint, without the version prefix; the
+    # unversioned path is a 404 that records under no endpoint label
+    assert metrics["requests"]["healthz"] == before + 1
     assert not any("v1" in key for key in metrics["requests"])
     assert not any("v1" in key for key in metrics["latency"])
     assert not any(key.startswith("/") for key in metrics["latency"])
 
 
-def test_client_traffic_is_never_deprecated(registry_server, tiny_evm_corpus):
+def test_client_traffic_is_never_deprecated(registry_server, tiny_evm_corpus,
+                                            monkeypatch):
     """Regression: every ServerClient method must speak /v1 -- full client
-    traffic advances the deprecated-request counter by exactly zero."""
+    traffic reaches a route every time and never meets a ``not_found``."""
     import contextlib
 
     from repro.registry import content_sha256
+    from repro.service.server import _ScanHTTPRequestHandler
 
+    errors = []
+    real_send_error = _ScanHTTPRequestHandler._send_error_json
+
+    def recording_send_error(self, status, message, code=None, **kwargs):
+        errors.append((status, code))
+        return real_send_error(self, status, message, code=code, **kwargs)
+
+    monkeypatch.setattr(_ScanHTTPRequestHandler, "_send_error_json",
+                        recording_send_error)
     server, _ = registry_server
     probe = ServerClient(port=server.port)
     probe.wait_until_ready(timeout=10.0)
@@ -698,9 +722,11 @@ def test_client_traffic_is_never_deprecated(registry_server, tiny_evm_corpus):
     probe.verdict(content_sha256(code))
     list(probe.verdicts_all(page_size=2))
     with contextlib.suppress(ServerClientError):
-        probe.ingest(code)        # 503 without an ingest tier; still /v1
-    assert probe.metrics()["requests"]["deprecated"] == 0
-    assert server.metrics.deprecated_requests == 0
+        probe.ingest(code)        # ingest_disabled without a queue; /v1
+    requests = probe.metrics()["requests"]
+    for endpoint in ("healthz", "scan", "scan_batch", "verdicts", "ingest"):
+        assert requests.get(endpoint, 0) >= 1, endpoint
+    assert errors == [(404, "ingest_disabled")]
 
 
 def test_metrics_prometheus_exposition(server, client, tiny_evm_corpus):
@@ -724,12 +750,10 @@ def test_metrics_prometheus_exposition(server, client, tiny_evm_corpus):
     status, _, body = _raw_get(server.port, "/v1/metrics?format=xml")
     assert status == 400
     assert body["error"]["code"] == "bad_request"
-    # the legacy alias still answers, flagged deprecated
-    status, headers, text = _raw_get_text(
-        server.port, "/metrics?format=prometheus")
-    assert status == 200
-    assert headers["Deprecation"] == "true"
-    assert validate_exposition(text) == []
+    # there is no deprecated-traffic family, and no unversioned alias
+    assert "requests_deprecated" not in text
+    status, _, body = _raw_get(server.port, "/metrics?format=prometheus")
+    assert status == 404 and body["error"]["code"] == "not_found"
 
 
 def test_healthz_reports_observability_state(server, client):

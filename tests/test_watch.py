@@ -1,10 +1,11 @@
-"""End-to-end tests of the watch daemon + registry-backed scanning.
+"""End-to-end tests of ``watch`` (the ingest service) + registry scanning.
 
-Locks the PR's acceptance invariant: for any corpus, one ``watch`` poll
-cycle followed by ``query --all`` returns verdicts byte-identical to a
-``scan-batch`` over the same corpus; a second poll cycle performs zero GNN
-inference calls; the registry survives a daemon restart; and a graph
-fingerprint change invalidates only the stale rows.
+Locks the watch path's acceptance invariants on both watcher backends
+(inotify, and the ``poll`` backend used on network mounts): a backfill
+followed by ``query --all`` returns verdicts byte-identical to a
+``scan-batch`` over the same corpus; the next cycle performs zero GNN
+inference calls; the registry survives a restart; and a graph fingerprint
+change invalidates only the stale rows.
 """
 
 from __future__ import annotations
@@ -17,11 +18,15 @@ import pytest
 from repro.cli import main
 from repro.core.config import ScamDetectConfig
 from repro.core.detector import ScamDetector
-from repro.registry import RulesEngine, ScanRegistry, WatchDaemon, \
-    content_sha256, parse_rules
+from repro.ingest import EventIngestService, IngestStats, InotifyWatcher
+from repro.registry import RulesEngine, ScanRegistry, content_sha256, \
+    parse_rules
 from repro.service import BatchScanner, GraphCache
 
 FAST = ScamDetectConfig(epochs=3, num_layers=1, hidden_features=8)
+
+#: every backend this host can run; ``poll`` runs everywhere
+BACKENDS = ("poll", "inotify") if InotifyWatcher.available() else ("poll",)
 
 
 @pytest.fixture(scope="module")
@@ -48,10 +53,26 @@ def registry(tmp_path, trained_detector):
         yield reg
 
 
+def watch(detector, registry, feed, backend="poll", **kwargs):
+    """An ingest service over ``feed`` (default: the poll backend, whose
+    cycles are deterministic walks)."""
+    return EventIngestService(detector, registry, roots=[feed],
+                              backend=backend, **kwargs)
+
+
+def started(detector, registry, feed, **kwargs):
+    """A watch service after its backfill and the cycle that takes the
+    watcher's catch-up events: the steady state of ``scamdetect watch``."""
+    service = watch(detector, registry, feed, **kwargs)
+    service.backfill()
+    service.cycle()
+    return service
+
+
 def write_contract(directory, name, bytecode):
     path = directory / name
     path.write_bytes(bytecode)
-    # poll change detection keys on (size, mtime_ns); same-size rewrites in
+    # change detection keys on (size, mtime_ns); same-size rewrites in
     # the same timestamp granule must still be visible
     stat = path.stat()
     os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 1_000_000))
@@ -63,55 +84,68 @@ def write_contract(directory, name, bytecode):
 
 
 def test_watch_then_query_matches_scan_batch_byte_identical(
-        trained_detector, feed, registry):
-    daemon = WatchDaemon(trained_detector, registry, feed)
-    cold = daemon.poll_once()
-    assert cold.new == cold.files_seen > 0
-    assert cold.inference_calls >= 1
-
+        trained_detector, feed, tmp_path):
     oracle = trained_detector.scan_directory(feed)
-    rows = {row.source_path: row for row in registry.query(limit=None)}
-    assert len(rows) == oracle.num_scanned
-    for report in oracle.reports:
-        stored = rows[report.sample_id].to_report()
-        assert stored.to_dict() == report.to_dict()
+    for backend in BACKENDS:
+        with ScanRegistry.for_config(tmp_path / f"{backend}.db",
+                                     trained_detector.config) as registry, \
+                watch(trained_detector, registry, feed,
+                      backend=backend) as service:
+            cold = service.backfill()
+            assert cold.enqueued == cold.scanned == oracle.num_scanned
+            assert cold.inference_calls >= 1
 
-    # second cycle over the unchanged corpus: stat short-circuit only
-    warm = daemon.poll_once()
-    assert warm.unchanged == warm.files_seen
-    assert warm.scanned == 0
-    assert warm.registry_hits == 0
-    assert warm.inference_calls == 0
+            rows = {row.source_path: row
+                    for row in registry.query(limit=None)}
+            assert len(rows) == oracle.num_scanned
+            for report in oracle.reports:
+                stored = rows[report.sample_id].to_report()
+                assert stored.to_dict() == report.to_dict(), backend
+
+            # the next cycle takes the watcher's catch-up events for the
+            # backfilled tree: stat short-circuit only
+            warm = service.cycle()
+            assert warm.unchanged == oracle.num_scanned, backend
+            assert warm.scanned == 0
+            assert warm.registry_hits == 0
+            assert warm.inference_calls == 0
 
 
 def test_watch_query_cli_roundtrip(trained_detector, feed, tmp_path,
                                    capsys):
     model_path = tmp_path / "model"
     trained_detector.save(model_path)
-    registry_path = tmp_path / "cli-verdicts.db"
-
-    exit_code = main(["watch", str(feed), "--model-path", str(model_path),
-                      "--registry", str(registry_path),
-                      "--interval", "0.05", "--max-polls", "2"])
-    assert exit_code == 0
-    out = capsys.readouterr().out
-    assert "poll 1:" in out and "poll 2:" in out
-    assert "0 inference calls" in out  # the second poll was free
-
-    exit_code = main(["query", "--registry", str(registry_path),
-                      "--model-path", str(model_path), "--all", "--json"])
-    assert exit_code == 0
-    rows = json.loads(capsys.readouterr().out)
-
-    # CLI parity: the recorded reports equal a scan-batch over the corpus
-    batch = main(["scan-batch", "--model-path", str(model_path),
-                  "--input-dir", str(feed), "--show-reports"])
-    assert batch in (0, 2)
     oracle = trained_detector.scan_directory(feed)
-    by_path = {row["source_path"]: row["report"] for row in rows}
-    assert len(by_path) == oracle.num_scanned
-    for report in oracle.reports:
-        assert by_path[report.sample_id] == report.to_dict()
+
+    for backend in BACKENDS:
+        registry_path = tmp_path / f"cli-{backend}.db"
+        exit_code = main(["watch", str(feed), "--model-path", str(model_path),
+                          "--registry", str(registry_path),
+                          "--backend", backend,
+                          "--interval", "0.05", "--max-polls", "2"])
+        assert exit_code == 0
+        out = capsys.readouterr().out
+        assert f"({backend} events" in out
+        cycle_one = [line for line in out.splitlines()
+                     if line.startswith("cycle 1:")]
+        assert "backfill:" in out and cycle_one, out
+        assert "0 inference calls" in cycle_one[0]  # the first cycle was free
+
+        exit_code = main(["query", "--registry", str(registry_path),
+                          "--model-path", str(model_path), "--all",
+                          "--json"])
+        assert exit_code == 0
+        rows = json.loads(capsys.readouterr().out)
+
+        # CLI parity: the recorded reports equal a scan-batch over the corpus
+        batch = main(["scan-batch", "--model-path", str(model_path),
+                      "--input-dir", str(feed), "--show-reports"])
+        assert batch in (0, 2)
+        capsys.readouterr()
+        by_path = {row["source_path"]: row["report"] for row in rows}
+        assert len(by_path) == oracle.num_scanned
+        for report in oracle.reports:
+            assert by_path[report.sample_id] == report.to_dict()
 
 
 # --------------------------------------------------------------------------- #
@@ -120,8 +154,7 @@ def test_watch_query_cli_roundtrip(trained_detector, feed, tmp_path,
 
 def test_new_changed_deleted_files_are_tracked(trained_detector, feed,
                                                registry, tiny_evm_corpus):
-    daemon = WatchDaemon(trained_detector, registry, feed)
-    daemon.poll_once()
+    service = started(trained_detector, registry, feed)
 
     # drop a brand-new contract, mutate an existing one, delete another
     existing = sorted(feed.glob("evm-*.bin"))
@@ -132,10 +165,10 @@ def test_new_changed_deleted_files_are_tracked(trained_detector, feed,
     removed = existing[1]
     removed.unlink()
 
-    stats = daemon.poll_once()
-    assert stats.new == 1
-    assert stats.changed == 1
-    assert stats.deleted == 1
+    stats = service.cycle()
+    service.close()
+    assert stats.upserts == 2
+    assert stats.deletes == 1
     assert stats.scanned == 2 and stats.inference_calls == 1
 
     # the deleted path is flagged in the index; its verdict row remains
@@ -151,35 +184,38 @@ def test_new_changed_deleted_files_are_tracked(trained_detector, feed,
 
 def test_duplicate_content_served_from_registry_without_inference(
         trained_detector, feed, registry):
-    daemon = WatchDaemon(trained_detector, registry, feed)
-    daemon.poll_once()
+    service = started(trained_detector, registry, feed)
     clone_source = sorted(feed.glob("*.bin"))[0]
     write_contract(feed, "clone-of-first.bin", clone_source.read_bytes())
-    stats = daemon.poll_once()
-    assert stats.new == 1
+    stats = service.cycle()
+    service.close()
+    assert stats.upserts == 1
     assert stats.registry_hits == 1
     assert stats.scanned == 0
     assert stats.inference_calls == 0
-    # the registry hit is rebound to the new path in the poll's reports
-    assert stats.reports[0].sample_id == "clone-of-first.bin"
+    # the registry hit is indexed under the new path
+    entry = registry.watched_files()["clone-of-first.bin"]
+    assert entry.sha256 == content_sha256(clone_source.read_bytes())
 
 
 def test_registry_survives_daemon_restart(trained_detector, feed, tmp_path):
     registry_path = tmp_path / "restart.db"
     with ScanRegistry.for_config(registry_path,
                                  trained_detector.config) as registry:
-        WatchDaemon(trained_detector, registry, feed).poll_once()
+        with watch(trained_detector, registry, feed) as service:
+            service.backfill()
         before = {row.sha256: row.malicious_probability
                   for row in registry.query(limit=None)}
     assert before
 
-    # a brand-new daemon process-equivalent: fresh handles, same file.  The
+    # a brand-new watch process-equivalent: fresh handles, same file.  The
     # stat index survives too, so not even re-hashing happens.
     with ScanRegistry.for_config(registry_path,
                                  trained_detector.config) as registry:
-        stats = WatchDaemon(trained_detector, registry, feed).poll_once()
+        with watch(trained_detector, registry, feed) as service:
+            stats = service.backfill()
         assert stats.inference_calls == 0
-        assert stats.scanned == 0 and stats.unchanged == stats.files_seen
+        assert stats.scanned == 0 and stats.unchanged == len(before)
         after = {row.sha256: row.malicious_probability
                  for row in registry.query(limit=None)}
     assert after == before
@@ -190,9 +226,11 @@ def test_fingerprint_change_invalidates_only_stale_rows(
     registry_path = tmp_path / "fp.db"
     with ScanRegistry.for_config(registry_path,
                                  trained_detector.config) as registry:
-        WatchDaemon(trained_detector, registry, feed).poll_once()
+        with watch(trained_detector, registry, feed) as service:
+            service.backfill()
         old_rows = len(registry.query(limit=None))
     assert old_rows > 0
+    files = len(list(feed.glob("*.bin")))
 
     # a lowering-config change (different max_nodes) gets a new fingerprint
     changed = ScamDetector(
@@ -204,14 +242,15 @@ def test_fingerprint_change_invalidates_only_stale_rows(
 
     with ScanRegistry.for_config(registry_path,
                                  changed.config) as registry:
-        stats = WatchDaemon(changed, registry, feed).poll_once()
+        with watch(changed, registry, feed) as service:
+            stats = service.backfill()
         # nothing of the old fingerprint is trusted: everything re-scans
-        assert stats.scanned == stats.files_seen
+        assert stats.scanned == files
         assert stats.inference_calls >= 1
         # ... but the stale rows are still there under their own scope
-        assert len(registry.query(limit=None)) == stats.files_seen
+        assert len(registry.query(limit=None)) == files
         assert len(registry.query(all_fingerprints=True)) \
-            == old_rows + stats.files_seen
+            == old_rows + files
         assert registry.purge_stale() == old_rows
 
 
@@ -220,7 +259,7 @@ def test_mismatched_registry_fingerprint_is_rejected(trained_detector,
     registry = ScanRegistry(tmp_path / "wrong.db", fingerprint="deadbeef")
     try:
         with pytest.raises(ValueError, match="fingerprint"):
-            WatchDaemon(trained_detector, registry, feed)
+            watch(trained_detector, registry, feed)
         with pytest.raises(ValueError, match="fingerprint"):
             BatchScanner(trained_detector, registry=registry)
     finally:
@@ -248,12 +287,12 @@ tag = ["hot"]
 alert = true
 exit_nonzero = true
 """), alert_path=sink)
-    daemon = WatchDaemon(spicy, registry, feed, rules=engine)
-    stats = daemon.poll_once()
+    with watch(spicy, registry, feed, rules=engine) as service:
+        stats = service.backfill()
     assert stats.malicious > 0
     assert stats.rules_matched == stats.malicious
     assert stats.alerts == stats.malicious
-    assert stats.exit_nonzero and daemon.exit_nonzero
+    assert stats.exit_nonzero and service.exit_nonzero
     alerts = [json.loads(line) for line in sink.read_text().splitlines()]
     assert len(alerts) == stats.malicious
     assert all(alert["rule"] == "page-on-scam" for alert in alerts)
@@ -414,28 +453,34 @@ def test_watch_respects_recursive_and_pattern(trained_detector, feed,
     nested = feed / "sub"
     nested.mkdir()
     write_contract(nested, "inner.bin", tiny_evm_corpus[0].bytecode)
-    top_level = len(list(feed.glob("*.bin")))
+    top_level = {path.name for path in feed.glob("*.bin")}
 
-    daemon = WatchDaemon(trained_detector, registry, feed, recursive=False)
-    stats = daemon.poll_once()
-    assert stats.files_seen == top_level
+    with watch(trained_detector, registry, feed, recursive=False) as service:
+        service.backfill()
+    assert set(registry.watched_files()) == top_level
 
-    daemon = WatchDaemon(trained_detector, registry, feed,
-                         pattern="sub/*.bin")
-    stats = daemon.poll_once()
-    assert stats.files_seen == 1
+    # the second watch sweeps the paths its pattern no longer covers
+    with watch(trained_detector, registry, feed,
+               pattern="sub/*.bin") as service:
+        stats = service.backfill()
+    assert stats.deletes == len(top_level)
+    assert set(registry.watched_files()) == {"sub/inner.bin"}
 
 
 def test_watch_skips_registry_database_in_corpus_dir(trained_detector,
-                                                     feed):
-    # a registry living inside the watched directory must never be scanned
-    with ScanRegistry.for_config(feed / "verdicts.db",
-                                 trained_detector.config) as registry:
-        daemon = WatchDaemon(trained_detector, registry, feed)
-        stats = daemon.poll_once()
-        assert stats.files_seen == len(list(feed.glob("*.bin")))
-        assert all(not row.source_path.endswith(".db")
-                   for row in registry.query(limit=None))
+                                                     feed, tmp_path):
+    # a registry living inside the watched directory must never be scanned,
+    # neither by the backfill walk nor by either watcher backend
+    files = {path.name for path in feed.glob("*.bin")}
+    for backend in BACKENDS:
+        with ScanRegistry.for_config(feed / f"verdicts-{backend}.db",
+                                     trained_detector.config) as registry:
+            with started(trained_detector, registry, feed,
+                         backend=backend) as service:
+                assert set(registry.watched_files()) == files, backend
+                assert service.stats.skipped == 0
+            assert all(not row.source_path.endswith(".db")
+                       for row in registry.query(limit=None))
 
 
 # --------------------------------------------------------------------------- #
@@ -445,46 +490,47 @@ def test_watch_skips_registry_database_in_corpus_dir(trained_detector,
 def test_stop_during_injected_slow_poll_finishes_the_cycle(
         trained_detector, feed, registry):
     # a SIGTERM-style stop() landing mid-cycle (the CLI's signal handler
-    # calls exactly this) must let the poll in flight finish and record
+    # calls exactly this) must let the cycle in flight finish and record
     # its verdicts -- shutdown latency is bounded, work is never dropped
     import threading
 
     from repro.resilience import FaultPlan, FaultSpec, fault_plan
 
-    daemon = WatchDaemon(trained_detector, registry, feed, interval=0.05)
-    with daemon, fault_plan(FaultPlan(specs=(
-            FaultSpec(site="watch.poll", kind="delay", delay_s=0.4,
+    service = watch(trained_detector, registry, feed)
+    with service, fault_plan(FaultPlan(specs=(
+            FaultSpec(site="ingest.drain", kind="delay", delay_s=0.4,
                       max_fires=1),))):
-        stopper = threading.Timer(0.1, daemon.stop)
+        stopper = threading.Timer(0.1, service.stop)
         stopper.start()
         try:
-            completed = daemon.run()
+            # no backfill: the first cycle takes the catch-up events for
+            # the whole tree and its drain is the slow one
+            completed = service.run(interval=0.05)
         finally:
             stopper.cancel()
     assert completed == 1
     # the interrupted cycle still recorded every contract durably
-    scanned = BatchScanner(trained_detector).scan_directory(feed)
     recorded = {row.sha256 for row in registry.query(limit=None)}
-    assert {content_sha256(sample_bytes)
-            for sample_bytes in (path.read_bytes()
-                                 for path in feed.glob("*.bin"))} <= recorded
-    assert len(recorded) >= scanned.num_scanned - scanned.registry_hits
+    assert {content_sha256(path.read_bytes())
+            for path in feed.glob("*.bin")} == recorded
 
 
 def test_faulted_poll_cycle_is_skipped_then_retried(trained_detector, feed,
                                                     registry):
     from repro.resilience import FaultPlan, FaultSpec, fault_plan
 
-    daemon = WatchDaemon(trained_detector, registry, feed, interval=0.01)
-    with daemon, fault_plan(FaultPlan(specs=(
-            FaultSpec(site="watch.poll", kind="exception", max_fires=1),))):
+    service = watch(trained_detector, registry, feed)
+    with service, fault_plan(FaultPlan(specs=(
+            FaultSpec(site="ingest.event", kind="exception",
+                      max_fires=1),))):
         with pytest.warns(UserWarning, match="transient fault"):
-            completed = daemon.run(max_polls=1)
-    # the faulted cycle aborted before scanning; the retry cycle saw the
-    # whole corpus fresh and recorded everything
-    assert completed == 1 and daemon.faulted_polls == 1
-    assert len(registry.query(limit=None)) > 0
-    stats = WatchDaemon(trained_detector, registry, feed).poll_once()
+            completed = service.run(interval=0.01, max_cycles=1)
+    # the faulted cycle aborted before taking any event; the retry cycle
+    # saw the whole corpus and recorded everything
+    assert completed == 1 and service.stats.faulted_cycles == 1
+    assert len(registry.query(limit=None)) == len(list(feed.glob("*.bin")))
+    with watch(trained_detector, registry, feed) as restarted:
+        stats = restarted.backfill()
     assert stats.inference_calls == 0     # nothing was lost or half-recorded
 
 
@@ -496,50 +542,68 @@ def test_unstatable_file_is_not_marked_deleted(trained_detector, feed,
                                                registry):
     from repro.resilience import FaultPlan, FaultSpec, fault_plan
 
-    daemon = WatchDaemon(trained_detector, registry, feed)
-    daemon.poll_once()
+    service = started(trained_detector, registry, feed)
     live = set(registry.watched_files())
     assert live
 
-    # one file transiently fails stat() this cycle (NFS hiccup, racing
-    # chmod): it must be skipped, NOT swept into the deletion sweep
-    with fault_plan(FaultPlan(specs=(
-            FaultSpec(site="watch.stat", kind="exception",
-                      exception="oserror", max_fires=1),))):
-        with pytest.warns(UserWarning, match="cannot stat"):
-            stats = daemon.poll_once()
+    def faulted(step):
+        # one file transiently fails stat() (NFS hiccup, racing chmod): it
+        # must be skipped, NOT swept as deleted
+        with fault_plan(FaultPlan(specs=(
+                FaultSpec(site="watch.stat", kind="exception",
+                          exception="oserror", max_fires=1),))):
+            with pytest.warns(UserWarning, match="cannot stat"):
+                return step()
+
+    # the walk (backfill and overflow resync) ...
+    stats = faulted(service.backfill)
     assert stats.skipped == 1
-    assert stats.deleted == 0
+    assert stats.deletes == 0
+    # ... and the poll backend's diffing walk
+    stats = faulted(service.cycle)
+    assert stats.deletes == 0 and stats.events == 0
     # the skipped path is still live in the index -- no deleted_at stamp
     assert set(registry.watched_files()) == live
     index = registry.watched_files(include_deleted=True)
     assert all(index[rel].deleted_at is None for rel in live)
 
-    # next cycle stats everything again: nothing changed, nothing re-scans
-    clean = daemon.poll_once()
-    assert clean.unchanged == clean.files_seen == len(live)
-    assert clean.deleted == 0 and clean.scanned == 0
+    # the next walk stats everything again: nothing changed, nothing
+    # re-scans
+    clean = service.backfill()
+    service.close()
+    assert clean.unchanged == len(live)
+    assert clean.deletes == 0 and clean.scanned == 0
 
 
 def test_stat_failure_still_detects_real_deletions(trained_detector, feed,
                                                    registry):
     from repro.resilience import FaultPlan, FaultSpec, fault_plan
 
-    daemon = WatchDaemon(trained_detector, registry, feed)
-    daemon.poll_once()
-    removed = sorted(feed.glob("*.bin"))[0]
-    removed.unlink()
-
-    # a *different* file faults its stat in the same cycle; the genuinely
-    # deleted file must still be swept
-    with fault_plan(FaultPlan(specs=(
+    def stat_fault():
+        return fault_plan(FaultPlan(specs=(
             FaultSpec(site="watch.stat", kind="exception",
-                      exception="oserror", max_fires=1),))):
-        with pytest.warns(UserWarning, match="cannot stat"):
-            stats = daemon.poll_once()
+                      exception="oserror", max_fires=1),)))
+
+    service = started(trained_detector, registry, feed)
+    first, second = sorted(feed.glob("*.bin"))[:2]
+
+    # a *different* file faults its stat in the same pass; the genuinely
+    # deleted file must still be swept -- by the poll backend's diff ...
+    first.unlink()
+    with stat_fault(), pytest.warns(UserWarning, match="cannot stat"):
+        stats = service.cycle()
+    assert stats.deletes == 1
+    assert first.name not in registry.watched_files()
+
+    # ... and by a restart's backfill walk
+    service.close()
+    second.unlink()
+    with watch(trained_detector, registry, feed) as restarted:
+        with stat_fault(), pytest.warns(UserWarning, match="cannot stat"):
+            stats = restarted.backfill()
     assert stats.skipped == 1
-    assert stats.deleted == 1
-    assert removed.name not in registry.watched_files()
+    assert stats.deletes == 1
+    assert second.name not in registry.watched_files()
 
 
 def test_midcycle_rewrite_records_consistent_stat(trained_detector, feed,
@@ -547,8 +611,7 @@ def test_midcycle_rewrite_records_consistent_stat(trained_detector, feed,
                                                   tiny_evm_corpus):
     import repro.registry.watch as watch_module
 
-    daemon = WatchDaemon(trained_detector, registry, feed)
-    daemon.poll_once()
+    service = started(trained_detector, registry, feed)
 
     target = sorted(feed.glob("*.bin"))[0]
     first_rewrite = target.read_bytes() + b"\x00"
@@ -569,21 +632,22 @@ def test_midcycle_rewrite_records_consistent_stat(trained_detector, feed,
         return raw
 
     monkeypatch.setattr(watch_module, "read_contract_file", racing_read)
-    daemon.poll_once()
+    service.cycle()
     monkeypatch.setattr(watch_module, "read_contract_file", real_read)
     assert raced["done"]
 
     # the recorded index entry must describe the bytes that were hashed:
     # sha of what is on disk now, stat consistent with it -- so the next
-    # poll sees the file as unchanged and nothing was masked
+    # cycle sees the file as unchanged and nothing was masked
     entry = registry.watched_files()[target.name]
     assert entry.sha256 == content_sha256(final_content)
     stat = target.stat()
     assert (entry.size, entry.mtime_ns) == (stat.st_size, stat.st_mtime_ns)
     assert registry.get(content_sha256(final_content)) is not None
 
-    clean = daemon.poll_once()
-    assert clean.changed == 0 and clean.scanned == 0
+    clean = service.cycle()
+    service.close()
+    assert clean.enqueued == 0 and clean.scanned == 0
     assert clean.registry_hits == 0
 
 
@@ -608,30 +672,35 @@ def test_stable_read_rereads_until_stat_settles(tmp_path):
 
 
 # --------------------------------------------------------------------------- #
-# PollStats reporting: every counter must be visible
+# IngestStats reporting: every counter must be visible
 
 
-def test_pollstats_surfaces_exit_and_fault_counters():
-    from repro.registry.watch import PollStats
-
-    stats = PollStats(files_seen=3, unchanged=3, exit_nonzero=True,
-                      faulted_polls=2)
+def test_ingest_stats_surface_exit_fault_and_cascade_counters():
+    stats = IngestStats(events=3, unchanged=3, exit_nonzero=True,
+                        faulted_cycles=2, short_circuits=4, escalations=1)
     line = stats.format()
-    assert "2 faulted polls" in line
+    assert "2 faulted" in line
     assert "exit rule fired" in line
+    assert "cascade 4 short-circuited/1 escalated" in line
     payload = stats.to_dict()
     assert payload["exit_nonzero"] is True
-    assert payload["faulted_polls"] == 2
+    assert payload["faulted_cycles"] == 2
     # every dataclass counter is exported -- nothing silently dropped
-    for field in ("files_seen", "unchanged", "new", "changed", "deleted",
-                  "skipped", "registry_hits", "scanned", "malicious",
-                  "inference_calls", "alerts", "rules_matched",
-                  "exit_nonzero", "faulted_polls", "elapsed_seconds"):
+    for field in ("events", "upserts", "deletes", "unchanged", "skipped",
+                  "enqueued", "deduped", "drained", "registry_hits",
+                  "scanned", "malicious", "inference_calls", "alerts",
+                  "rules_matched", "short_circuits", "escalations",
+                  "disagreements", "exit_nonzero", "faulted_cycles",
+                  "faulted_drains"):
         assert field in payload, field
+    # the cascade counters are ints, so per-cycle deltas subtract them
+    delta = stats.delta(IngestStats(short_circuits=1, disagreements=0))
+    assert (delta.short_circuits, delta.escalations) == (3, 1)
 
-    quiet = PollStats(files_seen=3, unchanged=3)
+    quiet = IngestStats(events=3, unchanged=3)
     assert "faulted" not in quiet.format()
     assert "exit rule" not in quiet.format()
+    assert "cascade" not in quiet.format()
 
 
 def test_watch_cli_json_stream_includes_fault_counters(
@@ -641,17 +710,20 @@ def test_watch_cli_json_stream_includes_fault_counters(
     registry_path = tmp_path / "json-verdicts.db"
 
     exit_code = main(["watch", str(feed), "--model-path", str(model_path),
-                      "--registry", str(registry_path),
+                      "--registry", str(registry_path), "--backend", "poll",
                       "--interval", "0.05", "--max-polls", "2", "--json"])
     assert exit_code == 0
     lines = [line for line in capsys.readouterr().out.splitlines()
              if line.startswith("{")]
-    assert len(lines) == 2
-    for number, line in enumerate(lines, start=1):
+    # the backfill is cycle 0, then one object per cycle
+    assert len(lines) == 3
+    for number, line in enumerate(lines):
         payload = json.loads(line)
-        assert payload["poll"] == number
+        assert payload["cycle"] == number
         assert payload["exit_nonzero"] is False
-        assert payload["faulted_polls"] == 0
-    # the second poll was warm: machine-readable proof
-    warm = json.loads(lines[1])
-    assert warm["inference_calls"] == 0 and warm["scanned"] == 0
+        assert payload["faulted_cycles"] == 0
+    assert json.loads(lines[0])["inference_calls"] >= 1
+    # the cycles after the backfill were warm: machine-readable proof
+    for line in lines[1:]:
+        warm = json.loads(line)
+        assert warm["inference_calls"] == 0 and warm["scanned"] == 0
