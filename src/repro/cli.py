@@ -446,9 +446,9 @@ def _command_triage(args: argparse.Namespace) -> int:
     import json
     import pathlib
 
-    from repro.registry import (CompileError, PartitionedScanRegistry,
-                                RegistryError, RetroTriage, RuleParseError,
-                                RulesEngine, ScanRegistry, parse_rules)
+    from repro.registry import (CompileError, RegistryError, RetroTriage,
+                                RuleParseError, RulesEngine, ScanRegistry,
+                                parse_rules)
 
     fingerprint = args.fingerprint
     if args.model_path is not None:
@@ -466,10 +466,8 @@ def _command_triage(args: argparse.Namespace) -> int:
         rules = parse_rules(rules_text, origin=args.rules_file)
     except RuleParseError as error:
         raise SystemExit(f"triage: {error}")
-    registry_cls = (PartitionedScanRegistry if args.partitioned
-                    else ScanRegistry)
     try:
-        registry = registry_cls(args.registry, fingerprint=fingerprint)
+        registry = ScanRegistry(args.registry, fingerprint=fingerprint)
     except (RegistryError, OSError) as error:
         raise SystemExit(f"triage: cannot open registry "
                          f"{args.registry!r}: {error}")
@@ -834,7 +832,9 @@ def build_parser() -> argparse.ArgumentParser:
     query_parser.add_argument("--until", default=None,
                               help="scanned at/before (epoch or ISO-8601)")
     query_parser.add_argument("--path-glob", default=None,
-                              help="shell glob on the recorded source path")
+                              help="shell glob on the recorded source path "
+                                   "(the fnmatch dialect of a rule's "
+                                   "path_glob: [!seq] negates)")
     query_parser.add_argument("--tag", default=None,
                               help="only rows carrying this triage tag")
     query_parser.add_argument("--limit", type=int, default=50,
@@ -872,8 +872,7 @@ def build_parser() -> argparse.ArgumentParser:
     triage_parser.add_argument("rules_file",
                                help="TOML rules file to apply")
     triage_parser.add_argument("--registry", required=True,
-                               help="SQLite verdict registry (or the "
-                                    "partitioned base path)")
+                               help="SQLite verdict registry")
     triage_parser.add_argument("--model-path", default=None,
                                help="scope to this model bundle's graph "
                                     "fingerprint")
@@ -887,9 +886,6 @@ def build_parser() -> argparse.ArgumentParser:
     triage_parser.add_argument("--no-resume", action="store_true",
                                help="start over instead of resuming an "
                                     "unfinished run of the same rules file")
-    triage_parser.add_argument("--partitioned", action="store_true",
-                               help="open REGISTRY as a per-platform "
-                                    "partitioned layout")
     triage_parser.add_argument("--alert-file", default=None,
                                help="JSONL sink for rule 'alert' actions")
     triage_parser.add_argument("--dead-letter-file", default=None,

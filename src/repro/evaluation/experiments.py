@@ -953,11 +953,11 @@ class E11Config:
     an :class:`~repro.ingest.service.EventIngestService` on the ``poll``
     backend (the walk ``watch`` does on a network mount) three ways: a
     **cold** backfill (every contract lowered and scored), a **warm** cycle
-    on the live service once its startup catch-up events are absorbed (the
-    stat short-circuit: nothing is even re-read), and a **restart** backfill from a fresh service with every file's mtime
-    bumped, defeating the stat index so every contract is re-read and
-    re-hashed -- and every verdict answered from SQLite, still with zero
-    inference.
+    on the live service after one untimed steady cycle (the poll walk's
+    stat short-circuit: nothing is even re-read), and a **restart** backfill
+    from a fresh service with every file's mtime bumped, defeating the stat
+    index so every contract is re-read and re-hashed -- and every verdict
+    answered from SQLite, still with zero inference.
     """
 
     # same 240-contract scale as E10, so the service benches stay comparable
@@ -1018,9 +1018,9 @@ def run_e11_watch_ingest(config: Optional[E11Config] = None) -> ExperimentResult
                 started = time.perf_counter()
                 cold = service.backfill()
                 cold_seconds = time.perf_counter() - started
-                # absorb the watcher's startup catch-up events (every one
-                # classifies as unchanged against the freshly drained
-                # index); the timed cycle is the walk every later one does
+                # one untimed steady cycle first (the backfill already took
+                # the watcher's catch-up events, so it walks and finds
+                # nothing); the timed cycle is the walk every later one does
                 service.cycle()
                 started = time.perf_counter()
                 warm = service.cycle()
@@ -1890,7 +1890,7 @@ def run_e15_event_ingest(config: Optional[E15Config] = None) -> ExperimentResult
                 started = time.perf_counter()
                 service.backfill()
                 poll_cold_seconds = time.perf_counter() - started
-                # absorb the watcher's catch-up events, as below
+                # one untimed steady cycle first, as below
                 service.cycle(timeout=0.0)
                 started = time.perf_counter()
                 for _ in range(config.steady_cycles):
@@ -1907,8 +1907,8 @@ def run_e15_event_ingest(config: Optional[E15Config] = None) -> ExperimentResult
                 started = time.perf_counter()
                 service.backfill()
                 event_cold_seconds = time.perf_counter() - started
-                # absorb the watcher's startup catch-up events (they all
-                # classify as unchanged against the freshly-drained index)
+                # untimed cycles first (the backfill already took the
+                # watcher's catch-up events, so they find nothing)
                 service.cycle(timeout=0.0)
                 service.cycle(timeout=0.0)
                 steady_inference_before = service.stats.inference_calls

@@ -59,6 +59,13 @@ class GraphClassifier(Module):
             width_in = hidden_features
         self.head_hidden = Linear(hidden_features, hidden_features, rng=self._rng)
         self.head_output = Linear(hidden_features, num_classes, rng=self._rng)
+        # every verdict report quotes this; the layer shapes are fixed here
+        # (load_state_dict refuses a shape change), so count the parameters
+        # once instead of walking them per report
+        self._description = (
+            f"{self.architecture}(layers={len(self.convs)}, "
+            f"hidden={self.head_hidden.in_features}, "
+            f"readout={self.readout_kind}, params={self.num_parameters()})")
 
     # ------------------------------------------------------------------ #
 
@@ -113,7 +120,6 @@ class GraphClassifier(Module):
         return _softmax_rows(self.forward_batch(batch).numpy())
 
     def describe(self) -> str:
-        """One-line architecture summary used in experiment tables."""
-        return (f"{self.architecture}(layers={len(self.convs)}, "
-                f"hidden={self.head_hidden.in_features}, "
-                f"readout={self.readout_kind}, params={self.num_parameters()})")
+        """One-line architecture summary (experiment tables, the ``model``
+        field of every verdict report)."""
+        return self._description

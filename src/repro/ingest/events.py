@@ -21,12 +21,15 @@ over the same root applies (hidden paths, cache and SQLite files,
     :func:`~repro.service.batch.iter_contract_files` and diffs a
     ``(size, mtime_ns)`` snapshot taken at construction, then waits out
     the rest of its timeout when nothing changed.  The walk is the cost.
-    A path that transiently fails ``stat()`` keeps its snapshot entry and
-    emits nothing -- never a spurious delete.
+    A path that transiently fails ``stat()`` keeps its snapshot entry --
+    never a spurious delete; one never stat'ed yet is announced once.
 
-Both deliver a catch-up upsert for every file present at construction on
-their first poll.  :func:`open_watcher` picks inotify where available
-unless the caller forces a backend.
+Both hold a catch-up upsert for every file present at construction.
+:meth:`~InotifyWatcher.catch_up` hands them over once -- the ingest
+service's backfill classifies them instead of walking the roots a second
+time -- and a watcher whose catch-up was never taken delivers it on its
+first poll.  :func:`open_watcher` picks inotify where available unless the
+caller forces a backend.
 """
 
 from __future__ import annotations
@@ -90,6 +93,9 @@ _DIR_MASK = (
 
 _EVENT_HEADER = struct.Struct("iIII")
 
+#: Poll-snapshot signature of a file seen but never stat'ed successfully.
+_UNSTATED = (-1, -1)
+
 
 def _libc() -> ctypes.CDLL:
     libc = ctypes.CDLL(None, use_errno=True)
@@ -125,10 +131,10 @@ class InotifyWatcher:
         self._watches: Dict[int, Tuple[pathlib.Path, pathlib.Path]] = {}
         self._wd_by_dir: Dict[pathlib.Path, int] = {}
         self._buffer = b""
-        # catch-up upserts for files that predate the watches, delivered
-        # by the first poll() -- without them anything already on disk at
-        # startup would be invisible to a pure event consumer
-        self._pending: List[FileEvent] = []
+        # catch-up upserts for files that predate the watches (taken by
+        # catch_up() or the first poll()) -- without them anything already
+        # on disk at startup would be invisible to a pure event consumer
+        self._pending: Optional[List[FileEvent]] = []
         try:
             for root in self.roots:
                 self._pending.extend(self._add_tree(root, root))
@@ -194,13 +200,18 @@ class InotifyWatcher:
 
     # ------------------------------------------------------------------ #
 
+    def catch_up(self) -> Optional[List[FileEvent]]:
+        """The catch-up upserts for files present at construction, or None
+        once they have been handed out (here or by :meth:`poll`)."""
+        events, self._pending = self._pending, None
+        return events
+
     def poll(self, timeout: float = 0.0) -> List[FileEvent]:
         """Drain pending kernel events, waiting up to ``timeout`` seconds."""
         if self._fd < 0:
             return []
-        events: List[FileEvent] = []
-        if self._pending:
-            events, self._pending = self._pending, []
+        events = self.catch_up() or []
+        if events:
             timeout = 0.0  # don't block: the backlog is already work
         ready, _, _ = select.select([self._fd], [], [], max(timeout, 0.0))
         if not ready:
@@ -331,10 +342,15 @@ class PollWatcher:
         self.recursive = recursive
         self._snapshot: Dict[pathlib.Path, Tuple[int, int]] = {}
         self._closed = threading.Event()
-        # the first walk yields the catch-up upserts the first poll()
-        # delivers, and its snapshot makes a delete between now and that
-        # poll visible to it
-        self._pending = self._diff()
+        # the first walk yields the catch-up upserts, and its snapshot
+        # makes a delete between now and the first poll visible to it
+        self._pending: Optional[List[FileEvent]] = self._diff()
+
+    def catch_up(self) -> Optional[List[FileEvent]]:
+        """The catch-up upserts for files present at construction, or None
+        once they have been handed out (here or by :meth:`poll`)."""
+        events, self._pending = self._pending, None
+        return events
 
     def poll(self, timeout: float = 0.0) -> List[FileEvent]:
         """One diffing walk; with nothing to report, wait out ``timeout``.
@@ -344,7 +360,7 @@ class PollWatcher:
         re-walking the tree back to back.
         """
         deadline = time.monotonic() + timeout
-        events, self._pending = self._pending + self._diff(), []
+        events = (self.catch_up() or []) + self._diff()
         remaining = deadline - time.monotonic()
         if not events and remaining > 0:
             self._closed.wait(remaining)
@@ -371,13 +387,20 @@ class PollWatcher:
                     fault_point("watch.stat", path=path)
                     stat = path.stat()
                 except OSError as error:
-                    # keep the old snapshot entry and emit nothing -- a
-                    # live file must never turn into a delete event
+                    # keep the old snapshot entry -- a live file must never
+                    # turn into a delete event
                     warnings.warn(
                         f"watch: cannot stat {path} ({error}); skipping",
                         stacklevel=3,
                     )
                     unstatable.add(path)
+                    if path not in self._snapshot:
+                        # first sight: name it once (a catch-up walk must
+                        # name every file it found) under a signature no
+                        # stat matches, so the first good stat re-announces
+                        # it; the consumer's own stat decides meanwhile
+                        seen[path] = _UNSTATED
+                        events.append(FileEvent(EVENT_UPSERT, root, path))
                     continue
                 signature = (stat.st_size, stat.st_mtime_ns)
                 seen[path] = signature
@@ -404,7 +427,7 @@ class PollWatcher:
     def close(self) -> None:
         self._closed.set()
         self._snapshot.clear()
-        self._pending = []
+        self._pending = None
 
     def __enter__(self) -> "PollWatcher":
         return self

@@ -46,7 +46,7 @@ import threading
 import time
 import warnings
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.detector import ScamDetector
 from repro.ingest.events import (
@@ -539,30 +539,47 @@ class EventIngestService:
     # synchronous driving
 
     def backfill(self) -> IngestStats:
-        """Cold start: walk the roots once, enqueue-and-drain everything,
-        and sweep index entries whose files are gone.  Returns the
-        counters it added."""
+        """Cold start: classify every file under the roots, enqueue-and-drain
+        everything, and sweep index entries whose files are gone.  Returns
+        the counters it added.
+
+        The first backfill classifies the watcher's catch-up events -- the
+        walk the watcher made when it started -- so start-up walks and
+        classifies each file once; a later backfill walks the roots again.
+        """
         before = dataclasses.replace(self.stats)
-        self._walk_roots()
+        found = self.watcher.catch_up() if self.watcher is not None else None
+        if found is None:
+            self._walk_roots()
+        else:
+            self._reconcile((event.root, event.path) for event in found)
         return self.stats.delta(before)
 
     def _walk_roots(self) -> None:
-        present: set = set()
-        for root in self.roots:
+        self._reconcile(
+            (root, path)
+            for root in self.roots
             for path in iter_contract_files(
                 root, self.pattern, recursive=self.recursive
-            ):
-                present.add(self._sample_id(root, path))
-                while True:
-                    try:
-                        self._classify_enqueue(root, path)
-                        break
-                    except IngestQueueFull:
-                        # interleave a drain so a backfill larger than the
-                        # queue bound still completes
-                        self.stats.backpressure_stalls += 1
-                        if self.drain() == 0:
-                            raise
+            )
+        )
+
+    def _reconcile(self, found: Iterable[Tuple[pathlib.Path, pathlib.Path]]) -> None:
+        """Classify every ``(root, path)`` found, sweep index entries it did
+        not name, then drain."""
+        present: set = set()
+        for root, path in found:
+            present.add(self._sample_id(root, path))
+            while True:
+                try:
+                    self._classify_enqueue(root, path)
+                    break
+                except IngestQueueFull:
+                    # interleave a drain so a backfill larger than the
+                    # queue bound still completes
+                    self.stats.backpressure_stalls += 1
+                    if self.drain() == 0:
+                        raise
         # a path that exists but could not be stat'ed is still present:
         # only files the walk no longer finds are swept
         self._mark_deleted([path for path in self._index if path not in present])
@@ -588,8 +605,11 @@ class EventIngestService:
         inotify an event lands at kernel latency, not at interval latency;
         the poll backend walks once per cycle and waits out the rest of
         ``interval`` when nothing changed.  Either way :meth:`stop` takes
-        effect within one interval.  On stop the queue is drained to empty
-        before returning -- a SIGTERM never strands admitted work.
+        effect within one interval.  The first cycle does not wait: it
+        takes what changed while the caller was busy (typically the
+        backfill) at once, so ``on_cycle(1, ...)`` marks the service live.
+        On stop the queue is drained to empty before returning -- a
+        SIGTERM never strands admitted work.
         """
         if self.watcher is None:
             raise RuntimeError(
@@ -598,7 +618,7 @@ class EventIngestService:
         completed = 0
         while not self._stop.is_set():
             try:
-                stats = self.cycle(timeout=interval)
+                stats = self.cycle(timeout=interval if completed else 0.0)
             except InjectedFault as error:
                 self.stats.faulted_cycles += 1
                 warnings.warn(

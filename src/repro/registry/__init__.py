@@ -6,8 +6,6 @@ This package is the stateful layer over the scanning service stack:
   content-addressed verdict store keyed by ``(sha256, graph fingerprint)``
   with WAL concurrency, schema migrations, rescan history, a query API,
   and keyset-cursor pagination.
-* :mod:`repro.registry.partition` -- :class:`PartitionedScanRegistry`,
-  the fleet-scale layout: one database per platform behind the same API.
 * :mod:`repro.registry.watch` -- :func:`~repro.registry.watch.stable_read`,
   the stat-consistent file read of the ingest tier
   (:mod:`repro.ingest`, behind ``scamdetect watch DIR``).
@@ -31,7 +29,6 @@ from repro.registry.compile import (
     compile_rule,
     compile_rules,
 )
-from repro.registry.partition import PartitionedScanRegistry
 from repro.registry.rules import (
     RuleParseError,
     RulesEngine,
@@ -63,7 +60,6 @@ __all__ = [
     "content_sha256",
     "decode_cursor",
     "encode_cursor",
-    "PartitionedScanRegistry",
     "CompileError",
     "CompiledRule",
     "check_index_backed",

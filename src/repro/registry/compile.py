@@ -12,15 +12,17 @@ discarding and only *matching* rows ever cross into Python.
 
 The compiled predicates are exact translations of the Python matchers --
 :func:`verify_parity` below states the contract, and the E14 harness
-enforces it byte-for-byte -- with two carefully-argued cases:
+enforces it byte-for-byte.  The matchers a registry query also takes
+(verdict, score range, platform, time window, path glob, tag, sha256
+prefix) go through :func:`~repro.registry.store.filter_clauses`, the one
+translation ``scamdetect query`` and ``GET /v1/verdicts`` use too.  This
+module adds the two that only rules have:
 
-* ``sha256`` prefixes become a half-open range over the primary key
-  (``sha256 >= lo AND sha256 < hi``) instead of ``LIKE``: identical on a
-  column that only ever holds lowercase hex, and sargable on the PK.
 * ``indicators`` become ``EXISTS`` probes with ``instr`` over the
   JSON-decoded notes array -- substring containment per note, exactly
   Python's ``any(ind in note for note in notes)``, never a cross-note
   false positive from matching the JSON text itself.
+* ``model_identity`` is an equality on the stored scoring-model identity.
 
 Every compiled query is also *plan-checked*: :func:`check_index_backed`
 runs ``EXPLAIN QUERY PLAN`` and refuses any plan that full-scans the
@@ -32,50 +34,15 @@ accidental table walk.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.registry.rules import TriageRule
-from repro.registry.store import RegistryError, ScanRegistry
+from repro.registry.store import RegistryError, ScanRegistry, filter_clauses
 
 
 class CompileError(RegistryError):
     """A rule that cannot be compiled, or a compiled plan that is not
     index-backed."""
-
-
-def _glob_from_fnmatch(pattern: str) -> str:
-    """Translate an :mod:`fnmatch` pattern to SQLite ``GLOB`` syntax.
-
-    The two dialects agree on ``*``, ``?``, and ``[seq]``; they disagree
-    only on negated classes (``[!seq]`` vs ``[^seq]``), so that is the one
-    rewrite.  A ``!`` anywhere else in a class is literal in both.
-    """
-    out: List[str] = []
-    index = 0
-    while index < len(pattern):
-        char = pattern[index]
-        if char == "[" and index + 1 < len(pattern):
-            if pattern[index + 1] == "!":
-                out.append("[^")
-                index += 2
-                continue
-        out.append(char)
-        index += 1
-    return "".join(out)
-
-
-def _sha256_range(prefix: str) -> Tuple[str, Optional[str]]:
-    """The half-open hex range equivalent to ``startswith(prefix)``.
-
-    Returns ``(low, high)``; ``high`` is None for an all-``f`` prefix
-    (nothing sorts above it, so the range is one-sided).
-    """
-    low = prefix
-    stripped = prefix.rstrip("f")
-    if not stripped:
-        return low, None
-    bumped = format(int(stripped, 16) + 1, f"0{len(stripped)}x")
-    return low, bumped
 
 
 @dataclass(frozen=True)
@@ -103,52 +70,28 @@ def compile_rule(rule: TriageRule, fingerprint: str) -> CompiledRule:
         raise CompileError(
             f"rule {rule.name!r}: compiling needs a graph fingerprint scope"
         )
-    clauses: List[str] = ["fingerprint = ?"]
-    params: List[object] = [fingerprint]
-    if rule.verdict is not None:
-        clauses.append("label = ?")
-        params.append(ScanRegistry._verdict_label(rule.verdict))
-    if rule.min_score is not None:
-        clauses.append("malicious_probability >= ?")
-        params.append(float(rule.min_score))
-    if rule.max_score is not None:
-        clauses.append("malicious_probability <= ?")
-        params.append(float(rule.max_score))
-    if rule.platform is not None:
-        clauses.append("platform = ?")
-        params.append(rule.platform)
+    clauses, params = filter_clauses(
+        verdict=rule.verdict,
+        min_score=rule.min_score,
+        max_score=rule.max_score,
+        platform=rule.platform,
+        since=rule.since,
+        until=rule.until,
+        path_glob=rule.path_glob,
+        tag=rule.has_tag,
+        sha256_prefix=rule.sha256_prefix,
+    )
+    clauses.insert(0, "fingerprint = ?")
+    params.insert(0, fingerprint)
     for indicator in rule.indicators:
         clauses.append(
             "EXISTS (SELECT 1 FROM json_each(verdicts.notes) "
             "WHERE instr(json_each.value, ?) > 0)"
         )
         params.append(indicator)
-    if rule.path_glob is not None:
-        clauses.append("COALESCE(source_path, sample_id) GLOB ?")
-        params.append(_glob_from_fnmatch(rule.path_glob))
-    if rule.has_tag is not None:
-        clauses.append(
-            "EXISTS (SELECT 1 FROM json_each(verdicts.tags) "
-            "WHERE json_each.value = ?)"
-        )
-        params.append(rule.has_tag)
     if rule.model_identity is not None:
         clauses.append("model_identity = ?")
         params.append(rule.model_identity)
-    if rule.since is not None:
-        clauses.append("last_scanned_at >= ?")
-        params.append(float(rule.since))
-    if rule.until is not None:
-        clauses.append("last_scanned_at <= ?")
-        params.append(float(rule.until))
-    if rule.sha256_prefix is not None:
-        low, high = _sha256_range(rule.sha256_prefix)
-        if high is None:
-            clauses.append("sha256 >= ?")
-            params.append(low)
-        else:
-            clauses.append("sha256 >= ? AND sha256 < ?")
-            params.extend([low, high])
     return CompiledRule(
         rule=rule, where=" AND ".join(clauses), params=tuple(params)
     )

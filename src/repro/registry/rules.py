@@ -162,7 +162,7 @@ class TriageRule:
         ):
             return False
         if self.sha256_prefix is not None and (
-            sha256 is None or not sha256.startswith(self.sha256_prefix)
+            sha256 is None or not sha256.startswith(self.sha256_prefix.lower())
         ):
             return False
         return True

