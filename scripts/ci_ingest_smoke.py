@@ -239,7 +239,7 @@ def main() -> int:
 
 def _probe(base: str) -> bool:
     try:
-        return get_json(f"{base}/v1/healthz")["status"] in ("ok", "degraded")
+        return get_json(f"{base}/v1/healthz")["status"] == "ok"
     except OSError:
         return False
 

@@ -64,7 +64,7 @@ def post_json(url: str, payload: dict) -> dict:
 
 def _probe(base: str) -> bool:
     try:
-        return get_json(f"{base}/v1/healthz")["status"] in ("ok", "degraded")
+        return get_json(f"{base}/v1/healthz")["status"] == "ok"
     except OSError:
         return False
 

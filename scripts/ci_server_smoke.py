@@ -1,9 +1,12 @@
 #!/usr/bin/env python
 """CI smoke test against a running ``scamdetect serve`` instance.
 
-Started by the CI workflow after launching the server in the background::
+Started by the CI workflow after launching the server in the background,
+with a verdict registry attached (the front door the gate-zipf benchmark
+workload measures)::
 
-    scamdetect serve --model-path /tmp/ci-model --port 8742 &
+    scamdetect serve --model-path /tmp/ci-model --port 8742 \
+        --registry /tmp/ci-registry.db &
     python scripts/ci_server_smoke.py --port 8742
 
 Asserts, against a live server over real HTTP:
@@ -12,7 +15,9 @@ Asserts, against a live server over real HTTP:
 2. ``POST /v1/scan`` of a freshly generated contract returns a well-formed
    verdict (all report fields present, verdict in {benign, malicious},
    probability consistent with the label);
-3. a burst of concurrent scans plus one ``/v1/scan-batch`` works and
+3. rescanning that contract returns the same verdict, answered from the
+   registry (``GET /v1/metrics`` shows ``scans.registry.hits >= 1``);
+4. a burst of concurrent scans plus one ``/v1/scan-batch`` works and
    ``GET /v1/metrics`` shows the counters advancing and the coalescer forming
    at least one inference batch of size > 1.
 
@@ -62,6 +67,10 @@ def main(argv=None) -> int:
     check((report["malicious_probability"] >= 0.5) ==
           (report["verdict"] == "malicious"),
           "verdict agrees with the probability and threshold")
+    again = client.scan(corpus[0].bytecode, sample_id="smoke-0")
+    check(again == report, "a rescan returns the first verdict")
+    hits = client.metrics()["scans"].get("registry", {}).get("hits", 0)
+    check(hits >= 1, f"the rescan was a registry hit (scans.registry.hits={hits})")
 
     # a concurrent burst: every verdict well-formed, coalescing engaged
     codes = [sample.bytecode for sample in corpus] * 2

@@ -3,26 +3,34 @@
 from __future__ import annotations
 
 import contextlib
+import threading
 from typing import Callable, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
 ArrayLike = Union[np.ndarray, float, int, Sequence]
 
-#: Global switch used by :func:`no_grad`.
-_GRAD_ENABLED = True
+
+class _GradMode(threading.local):
+    """Per-thread switch used by :func:`no_grad`: one thread's inference
+    block never turns gradients off (or back on) for another thread."""
+
+    enabled = True
+
+
+_GRAD_MODE = _GradMode()
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Context manager disabling graph construction (inference mode)."""
-    global _GRAD_ENABLED
-    previous = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    """Context manager disabling graph construction (inference mode) on the
+    calling thread."""
+    previous = _GRAD_MODE.enabled
+    _GRAD_MODE.enabled = False
     try:
         yield
     finally:
-        _GRAD_ENABLED = previous
+        _GRAD_MODE.enabled = previous
 
 
 def _unbroadcast(gradient: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -54,7 +62,7 @@ class Tensor:
                  name: str = "") -> None:
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: Optional[np.ndarray] = None
-        self.requires_grad = requires_grad and _GRAD_ENABLED
+        self.requires_grad = requires_grad and _GRAD_MODE.enabled
         self._backward: Callable[[], None] = lambda: None
         self._parents: Tuple["Tensor", ...] = ()
         self.name = name
@@ -102,7 +110,7 @@ class Tensor:
               backward: Callable[["Tensor"], None]) -> "Tensor":
         """Create a result tensor wired into the graph (if grad is enabled)."""
         requires = False
-        if _GRAD_ENABLED:
+        if _GRAD_MODE.enabled:
             for parent in parents:
                 if parent.requires_grad:
                     requires = True
@@ -318,7 +326,7 @@ class Tensor:
                 tensor._accumulate(out.grad[tuple(index)])
                 start += size
 
-        requires = _GRAD_ENABLED and any(t.requires_grad for t in tensors)
+        requires = _GRAD_MODE.enabled and any(t.requires_grad for t in tensors)
         output = Tensor(data, requires_grad=requires)
         if requires:
             output._parents = tuple(tensors)

@@ -9,7 +9,7 @@ Usage (after ``pip install -e .`` the ``scamdetect`` entry point is on PATH;
     scamdetect scan-batch --model-path /tmp/scamdetect --input-dir submissions/ \
                           --cache-dir /tmp/scamdetect-cache --shards 4
     scamdetect serve      --model-path /tmp/scamdetect --port 8742 \
-                          --workers 8 --max-batch 32 --shards 4
+                          --workers 8 --max-batch 32
     scamdetect watch submissions/ --model-path /tmp/scamdetect \
                           --registry /tmp/verdicts.db --rules triage.toml
     scamdetect query      --registry /tmp/verdicts.db --verdict malicious \
@@ -188,8 +188,9 @@ def _command_scan_batch(args: argparse.Namespace) -> int:
 def _arm_fault_plan(command: str, path: Optional[str]) -> None:
     """Activate ``--fault-plan`` (a JSON fault schedule) process-wide.
 
-    Sharded workers spawned afterwards re-arm the same plan, so one flag
-    chaos-tests a whole stack.  No-op when the flag was not given.
+    Shard workers spawned afterwards (``scan-batch``/``watch --shards``)
+    re-arm the same plan, so one flag chaos-tests a whole stack.  No-op
+    when the flag was not given.
     """
     if path is None:
         return
@@ -499,7 +500,7 @@ def _command_triage(args: argparse.Namespace) -> int:
 def _command_serve(args: argparse.Namespace) -> int:
     import signal
 
-    from repro.service import GraphCache, ShardError
+    from repro.service import GraphCache
     from repro.service.server import ScanServer
 
     _arm_fault_plan("serve", args.fault_plan)
@@ -515,8 +516,7 @@ def _command_serve(args: argparse.Namespace) -> int:
         server = ScanServer(detector, host=args.host, port=args.port,
                             workers=args.workers, max_batch=args.max_batch,
                             max_wait_ms=args.max_wait_ms, cache=cache,
-                            shards=args.shards, registry=registry,
-                            ingest_queue=args.ingest_queue)
+                            registry=registry, ingest_queue=args.ingest_queue)
     except (OSError, OverflowError) as error:
         raise SystemExit(f"serve: cannot bind {args.host}:{args.port}: "
                          f"{error}")
@@ -534,10 +534,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         server.serve_forever()
     except KeyboardInterrupt:
         pass
-    except ShardError as error:
-        # a shard replica that cannot come up (or stay up) is a startup
-        # failure, not a crash: exit non-zero with a clear message
-        raise SystemExit(f"serve: shard pool failed: {error}")
     finally:
         print("serve: draining in-flight scans and shutting down",
               flush=True)
@@ -702,18 +698,14 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--port", type=int, default=8742,
                               help="TCP port (0 picks a free port)")
     serve_parser.add_argument("--workers", type=int, default=8,
-                              help="handler threads (bytecode-lowering "
-                                   "concurrency)")
+                              help="handler threads (requests served at "
+                                   "once)")
     serve_parser.add_argument("--max-batch", type=int, default=32,
                               help="max graphs coalesced into one GNN "
                                    "inference call")
     serve_parser.add_argument("--max-wait-ms", type=float, default=5.0,
                               help="how long to hold a request while "
                                    "coalescing a batch (0 disables)")
-    serve_parser.add_argument("--shards", type=int, default=1,
-                              help="inference worker processes; >= 2 makes "
-                                   "the coalescer dispatch micro-batches "
-                                   "round-robin to shard replicas")
     serve_parser.add_argument("--threshold", type=float, default=0.5)
     serve_parser.add_argument("--cache-dir", default=None,
                               help="directory for the persistent graph-cache "
@@ -726,7 +718,7 @@ def build_parser() -> argparse.ArgumentParser:
                                    "(faster; default keeps scan parity)")
     serve_parser.add_argument("--fault-plan", default=None,
                               help="JSON fault-injection plan to arm in the "
-                                   "server (and its shard workers)")
+                                   "server")
     serve_parser.add_argument("--registry", default=None,
                               help="persistent verdict registry (SQLite); "
                                    "enables GET /verdicts and records "

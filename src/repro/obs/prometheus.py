@@ -4,7 +4,7 @@
 (see :meth:`repro.service.server.ServerMetrics.snapshot`) into the
 Prometheus text format (version 0.0.4), with one stable family per
 counter the stack already tracks -- requests, latency percentiles,
-cache, inference batches, registry, cascade, shards and ingest.  Scrape
+cache, inference batches, registry, cascade and ingest.  Scrape
 it with ``GET /v1/metrics?format=prometheus``.
 
 :func:`validate_exposition` is the shared syntax checker used by the
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 __all__ = ["render_prometheus", "validate_exposition"]
 
@@ -293,67 +293,6 @@ def render_prometheus(
             "Escalated contracts the GNN flagged against the pre-filter.",
             cascade.get("disagreements", 0),
         )
-
-    shards = snapshot.get("shards")
-    if shards:
-        shard_items: List[Tuple[str, Dict[str, object]]] = sorted(
-            shards.items()
-        )
-        out.family(
-            "shard_contracts_total",
-            "counter",
-            "Contracts scored per shard worker.",
-        )
-        for shard, entry in shard_items:
-            out.sample(
-                "shard_contracts_total",
-                entry.get("contracts", 0),
-                {"shard": shard},
-            )
-        out.family(
-            "shard_inference_calls_total",
-            "counter",
-            "Coalesced inference calls dispatched per shard.",
-        )
-        for shard, entry in shard_items:
-            out.sample(
-                "shard_inference_calls_total",
-                entry.get("inference", {}).get("calls", 0),
-                {"shard": shard},
-            )
-        out.family(
-            "shard_inference_mean_latency_ms",
-            "gauge",
-            "Mean per-call shard inference latency.",
-        )
-        for shard, entry in shard_items:
-            out.sample(
-                "shard_inference_mean_latency_ms",
-                entry.get("inference", {}).get("mean_latency_ms", 0.0),
-                {"shard": shard},
-            )
-        out.family(
-            "shard_restarts_total",
-            "counter",
-            "Worker respawns per shard.",
-        )
-        for shard, entry in shard_items:
-            out.sample(
-                "shard_restarts_total",
-                entry.get("restarts", 0),
-                {"shard": shard},
-            )
-        out.family(
-            "shard_quarantined",
-            "gauge",
-            "1 when the shard is quarantined (hash-space rebalanced).",
-        )
-        for shard, entry in shard_items:
-            out.sample(
-                "shard_quarantined",
-                int(bool(entry.get("quarantined", False))),
-                {"shard": shard},
-            )
 
     ingest = snapshot.get("ingest")
     if ingest:

@@ -7,8 +7,8 @@ into a service that can sustain repeated, high-volume scanning workloads:
   SHA-256 of the bytecode plus the config's graph fingerprint, with an
   in-memory LRU tier and an optional on-disk ``.npz`` tier.
 * :mod:`repro.service.batch` -- :class:`BatchScanner`, which lowers a corpus
-  or a directory of bytecode files in parallel worker threads and feeds the
-  resulting graphs to the GNN in batches.
+  or a directory of bytecode files and feeds the resulting graphs to the GNN
+  in batches.
 * :mod:`repro.service.server` -- :class:`ScanServer`, a long-running HTTP
   daemon whose :class:`~repro.service.server.RequestCoalescer` micro-batches
   concurrent scan requests into single block-diagonal inference calls, and
@@ -20,8 +20,7 @@ into a service that can sustain repeated, high-volume scanning workloads:
   engine that partitions scans by content hash across pipeline replicas
   (one per worker process), shares the warm disk cache tier between shards
   via atomic writes, and recovers from killed workers by requeueing their
-  unacknowledged chunks.  ``BatchScanner(shards=N)`` and
-  ``ScanServer(shards=N)`` route through it.
+  unacknowledged chunks.  ``BatchScanner(shards=N)`` routes through it.
 
 The service layer plugs into the existing stack through the pipeline's
 ``graph_cache`` hook, so training, evaluation and single-contract scans all

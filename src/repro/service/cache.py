@@ -157,8 +157,8 @@ class GraphCache:
             on first use (stale-cache detection), so pointing an upgraded
             pipeline at an old cache directory is always safe.
 
-    The cache is thread-safe: :class:`~repro.service.batch.BatchScanner`
-    lowers contracts from many worker threads against one shared cache.
+    The cache is thread-safe: the scan server's handler threads lower
+    contracts against one shared cache.
     """
 
     def __init__(
@@ -228,8 +228,8 @@ class GraphCache:
         """
         key = bytecode_key(code, platform)
         # obs site cache.lookup: records only inside an active trace (the
-        # shared no-op context manager otherwise), so executor threads with
-        # no propagated context cost one global read here
+        # shared no-op context manager otherwise), so a server handler thread
+        # outside a trace costs one global read here
         with trace("cache.lookup") as span:
             with self._lock:
                 graph = self._entries.get(key)

@@ -54,7 +54,7 @@ import urllib.parse
 from base64 import b64decode
 from collections import deque
 from http.server import BaseHTTPRequestHandler, HTTPServer
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.detector import ScamDetector, coerce_bytecode
 from repro.core.engine import ScanEngine
@@ -207,7 +207,6 @@ class ServerMetrics:
     def snapshot(
         self,
         cache_stats: CacheStats,
-        shard_stats: Optional[Dict[str, Dict[str, object]]] = None,
         cascade_enabled: bool = False,
         registry_busy_retries: Optional[int] = None,
         ingest: Optional[Dict[str, object]] = None,
@@ -216,10 +215,7 @@ class ServerMetrics:
 
         The ``scans`` section uses the exact schema of
         :meth:`~repro.service.batch.BatchScanResult.stats_dict`, so offline
-        batch runs and the live server feed the same dashboards.  When the
-        server runs sharded, ``shard_stats`` adds a ``shards`` section with
-        per-shard inference latency, cache counters and restarts (see
-        :meth:`~repro.service.sharded.ShardedScanner.shard_stats_dict`).
+        batch runs and the live server feed the same dashboards.
         """
         with self._lock:
             requests = dict(self.requests)
@@ -270,8 +266,6 @@ class ServerMetrics:
             "latency": latency_ms,
             "scans": scans,
         }
-        if shard_stats is not None:
-            payload["shards"] = shard_stats
         if ingest is not None:
             # queue depth / enqueue-dedupe / drop counters of the ingest
             # tier (see EventIngestService.snapshot)
@@ -297,17 +291,20 @@ class RequestCoalescer:
     Handler threads call :meth:`submit` with already-lowered graphs and
     block; a single drain thread collects up to ``max_batch`` graphs --
     waiting at most ``max_wait_ms`` after the first arrival for stragglers --
-    and scores them with one batched ``predict_proba`` call.  One inference
-    thread means the model itself is never called concurrently, so no model
-    state needs locking.
+    and scores them with one batched ``score`` call.  The drain thread is
+    not the model's only caller: under ``--ingest-queue`` the ingest drain
+    thread scores its own batches at the same time, so ``score`` must be
+    safe to call from several threads (inference reads the weights only,
+    and the autograd grad mode is per thread).
 
     Shutdown is graceful: :meth:`close` rejects new submissions but drains
     everything already queued before the thread exits, so no accepted request
     is ever dropped.
 
     Args:
-        trainer: The fitted :class:`~repro.gnn.training.GNNTrainer` used for
-            scoring (one batched model call per micro-batch).
+        score: ``(graphs, batch_size) -> rows`` of class probabilities, one
+            row per graph; the server passes the fitted
+            :meth:`~repro.gnn.training.GNNTrainer.predict_proba`.
         metrics: Sink for the batch-size histogram.
         max_batch: Graph budget per inference call.  A single oversized
             submission (a big ``/v1/scan-batch`` request) is still honoured;
@@ -315,11 +312,6 @@ class RequestCoalescer:
         max_wait_ms: How long to hold the first request of a batch while
             waiting for companions.  0 disables coalescing (every request is
             scored alone, still through the single inference thread).
-        scorer: Optional replacement for ``trainer.predict_proba`` with the
-            same ``(graphs, batch_size)`` signature.  The sharded server
-            passes :meth:`~repro.service.sharded.ShardedScanner.infer` here,
-            so coalesced micro-batches fan out round-robin across the worker
-            processes instead of scoring on the parent's model.
         max_queue: Bound on queued (not yet scored) submissions; a submit
             over the bound raises :class:`ServerOverloaded` (-> 503 +
             ``Retry-After``) instead of growing the queue without limit.
@@ -328,11 +320,10 @@ class RequestCoalescer:
 
     def __init__(
         self,
-        trainer,
+        score: Callable[..., Sequence[Sequence[float]]],
         metrics: ServerMetrics,
         max_batch: int = 32,
         max_wait_ms: float = 5.0,
-        scorer=None,
         max_queue: Optional[int] = None,
     ) -> None:
         if max_batch < 1:
@@ -341,11 +332,7 @@ class RequestCoalescer:
             raise ValueError("max_wait_ms must be >= 0")
         if max_queue is not None and max_queue < 1:
             raise ValueError("max_queue must be >= 1 (or None)")
-        if trainer is None and scorer is None:
-            raise ValueError("RequestCoalescer needs a trainer or a scorer")
-        self._score_graphs = (
-            scorer if scorer is not None else trainer.predict_proba
-        )
+        self._score_graphs = score
         self._metrics = metrics
         self.max_batch = max_batch
         self.max_wait_ms = max_wait_ms
@@ -741,7 +728,6 @@ class _ScanHTTPRequestHandler(BaseHTTPRequestHandler):
             formats = query.get("format", ["json"])
             snapshot = server.metrics.snapshot(
                 server.cache_stats,
-                server.shard_stats(),
                 cascade_enabled=server.detector.cascade,
                 registry_busy_retries=server.registry_busy_retries(),
                 ingest=(
@@ -998,7 +984,7 @@ class _ThreadPoolHTTPServer(HTTPServer):
 
     The stdlib ``ThreadingHTTPServer`` spawns an unbounded thread per
     connection; a fixed pool keeps the ``--workers`` knob honest and bounds
-    lowering concurrency.  Accepted connections queue up; on shutdown the
+    the requests in flight.  Accepted connections queue up; on shutdown the
     sentinel values are enqueued *behind* any pending connections, so every
     accepted request is answered before the workers exit.
     """
@@ -1059,7 +1045,9 @@ class ScanServer:
     Binds immediately (so a bad port fails at construction, not at
     ``start()``), serves on a fixed pool of handler threads, and scores all
     traffic through one :class:`RequestCoalescer`, one shared
-    :class:`~repro.service.cache.GraphCache` and one pipeline.
+    :class:`~repro.service.cache.GraphCache` and one pipeline.  A failed
+    construction leaves the detector untouched: the arguments are checked
+    and the port bound before the cache is attached.
 
     Args:
         detector: A trained detector; its threshold/explain settings apply
@@ -1067,7 +1055,9 @@ class ScanServer:
             byte-identical to a default ``ScamDetector.scan``).
         host: Bind address.
         port: TCP port; 0 picks a free port (see :attr:`port`).
-        workers: Handler threads -- the lowering (CFG recovery) concurrency.
+        workers: Handler threads, i.e. requests served at once.  Lowering
+            holds the GIL, so more threads overlap waits (I/O, the
+            coalescer, the registry), not CFG recovery.
         max_batch: Coalescer graph budget per inference call.
         max_wait_ms: Coalescer hold time for batch formation.
         max_queue: Bound on queued inference submissions; requests over the
@@ -1078,12 +1068,6 @@ class ScanServer:
         cache: Optional :class:`GraphCache`; one scoped to the detector's
             config is created when omitted, so repeated bytecode is lowered
             once across all clients.
-        shards: Inference worker *processes*.  With the default (1) the
-            coalescer scores on the in-process model; ``shards >= 2``
-            spawns a :class:`~repro.service.sharded.ShardedScanner` pool
-            and the coalescer dispatches its micro-batches round-robin to
-            the shard replicas, with per-shard latency/cache/restart
-            counters surfaced under ``GET /v1/metrics``.
         registry: Optional persistent
             :class:`~repro.registry.store.ScanRegistry`.  When attached, every
             served verdict is recorded durably, contracts the registry
@@ -1106,7 +1090,6 @@ class ScanServer:
         max_batch: int = 32,
         max_wait_ms: float = 5.0,
         cache: Optional[GraphCache] = None,
-        shards: int = 1,
         registry=None,
         max_queue: Optional[int] = None,
         retry_after_s: float = 1.0,
@@ -1119,8 +1102,14 @@ class ScanServer:
         detector.cascade_head()
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
+        if ingest_queue is not None:
+            if ingest_queue < 1:
+                raise ValueError("ingest_queue must be >= 1")
+            if registry is None:
+                raise ValueError(
+                    "ingest_queue requires an attached registry: "
+                    "POST /v1/ingest records its verdicts durably"
+                )
         # built first: it rejects a registry scoped to another fingerprint
         # before anything below touches the detector
         self.engine = ScanEngine(
@@ -1130,59 +1119,48 @@ class ScanServer:
         )
         self.registry = registry
         self.detector = detector
-        if cache is None:
-            cache = GraphCache.for_config(detector.config)
-        # remember what the pipeline had so shutdown() leaves the caller's
-        # detector exactly as it was found
-        self._previous_cache = detector.pipeline.graph_cache
-        detector.pipeline.set_graph_cache(cache)
-        self.cache = cache
         self.workers = workers
-        self.shards = shards
-        self.sharded = None
-        scorer = None
-        if shards > 1:
-            from repro.service.sharded import ShardedScanner
-
-            self.sharded = ShardedScanner(
-                detector, shards=shards, inference_batch_size=max_batch
-            )
-            scorer = self.sharded.infer
         self.retry_after_s = retry_after_s
         self.metrics = ServerMetrics()
         self.coalescer = RequestCoalescer(
-            detector.pipeline._trainer,
+            detector.pipeline._trainer.predict_proba,
             self.metrics,
             max_batch=max_batch,
             max_wait_ms=max_wait_ms,
-            scorer=scorer,
             max_queue=max_queue,
         )
-        self.ingest = None
-        if ingest_queue is not None:
-            if ingest_queue < 1:
-                raise ValueError("ingest_queue must be >= 1")
-            if registry is None:
-                raise ValueError(
-                    "ingest_queue requires an attached registry: "
-                    "POST /v1/ingest records its verdicts durably"
-                )
-            # deferred import: repro.ingest.service imports the batch
-            # module from this package
-            from repro.ingest.service import EventIngestService
-
-            self.ingest = EventIngestService(
-                detector,
-                registry,
-                roots=(),
-                queue_capacity=ingest_queue,
-                batch_size=max_batch,
-                cache=cache,
-                retry_after_s=retry_after_s,
-            )
         self._httpd = _ThreadPoolHTTPServer(
             (host, port), _ScanHTTPRequestHandler, self, workers
         )
+        if cache is None:
+            cache = GraphCache.for_config(detector.config)
+        self.cache = cache
+        # remember what the pipeline had so shutdown() leaves the caller's
+        # detector exactly as it was found
+        self._previous_cache = detector.pipeline.graph_cache
+        self.ingest = None
+        try:
+            detector.pipeline.set_graph_cache(cache)
+            if ingest_queue is not None:
+                # deferred import: repro.ingest.service imports the batch
+                # module from this package
+                from repro.ingest.service import EventIngestService
+
+                self.ingest = EventIngestService(
+                    detector,
+                    registry,
+                    roots=(),
+                    queue_capacity=ingest_queue,
+                    batch_size=max_batch,
+                    cache=cache,
+                    retry_after_s=retry_after_s,
+                )
+        except BaseException:
+            # a cache for another fingerprint, a failing ingest tier: hand
+            # the detector back as found and release the port
+            self._restore_cache()
+            self._httpd.server_close()
+            raise
         self._accept_thread: Optional[threading.Thread] = None
         self._stop_requested = threading.Event()
         self._started = False
@@ -1217,10 +1195,9 @@ class ScanServer:
     def health(self) -> Dict[str, object]:
         from repro import __version__
 
-        degraded = self.sharded is not None and self.sharded.degraded
         uptime = self.metrics.uptime_seconds
         payload = {
-            "status": "degraded" if degraded else "ok",
+            "status": "ok",
             "api_version": API_PREFIX.lstrip("/"),
             "version": __version__,
             "model": self.detector.pipeline.describe(),
@@ -1234,13 +1211,10 @@ class ScanServer:
                 "armed" if active_injector() is not None else "disarmed"
             ),
             "workers": self.workers,
-            "shards": self.shards,
             "max_batch": self.coalescer.max_batch,
             "max_wait_ms": self.coalescer.max_wait_ms,
             "queue_depth": self.coalescer.queue_depth,
         }
-        if degraded:
-            payload["quarantined_shards"] = self.sharded.quarantined_shards
         if self.detector.cascade:
             payload["cascade"] = {
                 "margin": self.detector.effective_cascade_margin()
@@ -1257,12 +1231,6 @@ class ScanServer:
                 "dropped": queue["dropped"],
             }
         return payload
-
-    def shard_stats(self) -> Optional[Dict[str, Dict[str, object]]]:
-        """Per-shard telemetry for ``/v1/metrics`` (None when unsharded)."""
-        if self.sharded is None:
-            return None
-        return self.sharded.shard_stats_dict()
 
     # -------------------------------------------------------------- #
     # scoring entry points used by the HTTP handlers (and tests)
@@ -1410,22 +1378,10 @@ class ScanServer:
     # lifecycle
 
     def start(self) -> "ScanServer":
-        """Start the shard pool (if any), the coalescer, the worker pool
-        and the accept loop."""
+        """Start the coalescer, the worker pool and the accept loop."""
         if self._started:
             raise RuntimeError("ScanServer.start called twice")
         self._started = True
-        if self.sharded is not None:
-            # fork the shard replicas before any server thread exists, so
-            # the children never inherit a mid-transaction thread state
-            try:
-                self.sharded.start()
-            except Exception:
-                # nothing else has started: flip back so shutdown() takes
-                # the short path -- the full path would block forever in
-                # _httpd.shutdown(), whose event only serve_forever() sets
-                self._started = False
-                raise
         self.coalescer.start()
         if self.ingest is not None:
             self.ingest.start()
@@ -1456,8 +1412,6 @@ class ScanServer:
             self._httpd.server_close()
             if self.ingest is not None:
                 self.ingest.close(drain=False)
-            if self.sharded is not None:
-                self.sharded.close()
             self._restore_cache()
             return
         self._stopped = True
@@ -1471,8 +1425,6 @@ class ScanServer:
             # queued backlog so a SIGTERM never strands admitted work
             self.ingest.close(drain=True)
         self.coalescer.close()  # drains queued inference work
-        if self.sharded is not None:
-            self.sharded.close()  # after the coalescer: no new work
         self._httpd.server_close()
         self._restore_cache()
 

@@ -35,15 +35,16 @@ Design points:
   respawns: the shard is quarantined and its hash-space rebalanced onto the
   healthy shards, so the batch completes degraded-but-correct.  Only when
   *no* healthy shard remains does the scan stop with a :class:`ShardError`.
-  The scan server surfaces quarantines as ``status: "degraded"`` in
-  ``/v1/healthz``.
+  A quarantine raises a warning and marks the shard ``quarantined`` in the
+  scan's per-shard stats.
 * **Non-intrusive observability.**  Workers ship a tiny stats delta with
   every completed chunk (wall-clock, cache counters, batch histogram); the
-  parent aggregates them into per-shard ``throughput_stats`` without ever
+  parent aggregates them into per-shard ``throughput_stats`` (the
+  ``shards`` section of :meth:`BatchScanResult.stats_dict`) without ever
   touching the scoring hot path.
 
-The pool speaks only picklable primitives (bytes, dataclasses of ints,
-NumPy arrays), so it works under both ``fork`` and ``spawn`` start methods.
+The pool passes only picklable values (bytes, tuples, report and stats
+dataclasses), so it works under both ``fork`` and ``spawn`` start methods.
 """
 
 from __future__ import annotations
@@ -61,11 +62,8 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from repro.core.detector import ScamDetector
 from repro.core.engine import ScanEngine, ScanOutcome
-from repro.gnn.data import ContractGraph
 from repro.obs.trace import (
     Tracer,
     active_tracer,
@@ -113,28 +111,6 @@ def shard_for_bytecode(raw: bytes, shards: int) -> int:
 # worker process
 
 
-def _graph_payload(graph: ContractGraph) -> Tuple:
-    """Strip a graph to the picklable arrays a worker needs to re-score
-    it."""
-    return (
-        np.asarray(graph.node_features),
-        np.asarray(graph.adjacency),
-        np.asarray(graph.normalized_adjacency),
-        graph.platform,
-    )
-
-
-def _payload_graph(payload: Tuple) -> ContractGraph:
-    node_features, adjacency, normalized, platform = payload
-    return ContractGraph(
-        node_features=node_features,
-        adjacency=adjacency,
-        normalized_adjacency=normalized,
-        label=0,
-        platform=platform,
-    )
-
-
 def _scan_chunk(engine: ScanEngine, items: Sequence[Tuple]):
     """Scan one chunk of ``(index, raw, platform, sample_id)`` on this
     worker's engine; returns ``(index, report)`` pairs plus the stats delta
@@ -176,8 +152,9 @@ def _shard_worker(
 ) -> None:
     """Worker main loop: load a pipeline replica once, then serve tasks.
 
-    Messages back to the parent are ``(kind, shard_id, chunk_id, payload)``
-    tuples; ``kind`` is ``ready``/``scan``/``infer``/``error``/``fatal``.
+    Tasks are ``(chunk_id, items, crash, span_carrier)`` tuples, ``None``
+    to stop.  Messages back to the parent are ``(kind, shard_id, chunk_id,
+    payload)`` tuples; ``kind`` is ``ready``/``scan``/``error``/``fatal``.
 
     When the parent had a fault plan active at spawn time the worker re-arms
     it locally (sites like ``cache.disk_*`` and ``shard.task`` then fire in
@@ -199,8 +176,8 @@ def _shard_worker(
             options["bundle_path"],
             threshold=options["threshold"],
             explain=options["explain"],
-            cascade=options.get("cascade", False),
-            cascade_margin=options.get("cascade_margin"),
+            cascade=options["cascade"],
+            cascade_margin=options["cascade_margin"],
         )
         # A cascade-enabled replica without a trained head is fatal at pool
         # start, not a per-chunk error storm.
@@ -224,7 +201,7 @@ def _shard_worker(
         task = task_queue.get()
         if task is None:
             return
-        kind, chunk_id, payload, crash, span_carrier = task
+        chunk_id, items, crash, span_carrier = task
         if crash:
             # parent-side dispatch marked this task via an injected
             # ``shard.worker.<id>`` crash fault: die *after* dequeue,
@@ -233,39 +210,16 @@ def _shard_worker(
             _crash(result_queue)
         try:
             fault_point("shard.task")
-            if kind == "scan":
-                # obs site shard.chunk: continues the parent's trace
-                # across the process boundary (link="follows"); inner
-                # sites (cache.lookup) nest under it as normal children
-                with trace_from(
-                    span_carrier,
-                    "shard.chunk",
-                    shard=shard_id,
-                    items=len(payload),
-                ):
-                    chunk_result = _scan_chunk(engine, payload)
-                if worker_tracer is not None:
-                    chunk_result[1]["spans"] = worker_tracer.drain()
-                result_queue.put(("scan", shard_id, chunk_id, chunk_result))
-            elif kind == "infer":
-                started = time.perf_counter()
-                graphs = [_payload_graph(entry) for entry in payload]
-                rows = detector.pipeline._trainer.predict_proba(
-                    graphs, batch_size=max(1, len(graphs))
-                )
-                result_queue.put(
-                    (
-                        "infer",
-                        shard_id,
-                        chunk_id,
-                        (
-                            np.asarray(rows, dtype=np.float64),
-                            time.perf_counter() - started,
-                        ),
-                    )
-                )
-            else:  # pragma: no cover - defensive
-                raise ValueError(f"unknown task kind {kind!r}")
+            # obs site shard.chunk: continues the parent's trace across the
+            # process boundary (link="follows"); inner sites (cache.lookup)
+            # nest under it as normal children
+            with trace_from(
+                span_carrier, "shard.chunk", shard=shard_id, items=len(items)
+            ):
+                chunk_result = _scan_chunk(engine, items)
+            if worker_tracer is not None:
+                chunk_result[1]["spans"] = worker_tracer.drain()
+            result_queue.put(("scan", shard_id, chunk_id, chunk_result))
         except BaseException:
             result_queue.put(
                 ("error", shard_id, chunk_id, traceback.format_exc())
@@ -296,16 +250,13 @@ class _ShardHandle:
 
 @dataclass
 class _ShardWindow:
-    """Accumulated per-shard telemetry (scan + inference counters)."""
+    """Accumulated per-shard telemetry (scan counters and restarts)."""
 
     contracts: int = 0
     malicious: int = 0
     elapsed_seconds: float = 0.0
     cache: CacheStats = field(default_factory=CacheStats)
     batch_sizes: Dict[int, int] = field(default_factory=dict)
-    infer_calls: int = 0
-    infer_graphs: int = 0
-    infer_seconds: float = 0.0
     restarts: int = 0
     restart_backoff_s: float = 0.0
     quarantined: bool = False
@@ -318,11 +269,6 @@ class _ShardWindow:
         for size, count in stats["batch_sizes"].items():
             self.batch_sizes[size] = self.batch_sizes.get(size, 0) + count
 
-    def absorb_infer(self, num_graphs: int, seconds: float) -> None:
-        self.infer_calls += 1
-        self.infer_graphs += num_graphs
-        self.infer_seconds += seconds
-
     def copy(self) -> "_ShardWindow":
         """Independent snapshot, for per-scan window deltas."""
         return _ShardWindow(
@@ -331,9 +277,6 @@ class _ShardWindow:
             elapsed_seconds=self.elapsed_seconds,
             cache=self.cache.copy(),
             batch_sizes=dict(self.batch_sizes),
-            infer_calls=self.infer_calls,
-            infer_graphs=self.infer_graphs,
-            infer_seconds=self.infer_seconds,
             restarts=self.restarts,
             restart_backoff_s=self.restart_backoff_s,
             quarantined=self.quarantined,
@@ -361,51 +304,22 @@ class _ShardWindow:
         entry["quarantined"] = self.quarantined
         return entry
 
-    def to_dict(self) -> Dict[str, object]:
-        """Per-shard stats in the shared offline/online schema, plus the
-        shard-only inference and restart counters."""
-        stats = throughput_stats(
-            self.contracts,
-            self.malicious,
-            self.elapsed_seconds,
-            self.cache,
-            self.batch_sizes,
-        )
-        stats["inference"] = {
-            "calls": self.infer_calls,
-            "graphs": self.infer_graphs,
-            "seconds": self.infer_seconds,
-            "mean_latency_ms": (
-                self.infer_seconds / self.infer_calls * 1e3
-                if self.infer_calls
-                else 0.0
-            ),
-        }
-        stats["restarts"] = self.restarts
-        stats["restart_backoff_s"] = self.restart_backoff_s
-        stats["quarantined"] = self.quarantined
-        return stats
-
 
 class ShardedScanner(ScanEntryPoints):
     """Scan driver that shards work across a process pool of replicas.
 
-    Each worker process loads its own detector replica from a persistence
-    bundle (written automatically when a live ``detector`` is given) and
-    runs lowering plus batched GNN inference locally; the parent only
-    partitions inputs, merges verdicts and aggregates telemetry.
+    Each worker process loads its own replica of ``detector`` from a
+    scanner-owned persistence bundle and runs lowering plus batched GNN
+    inference locally; the parent only partitions inputs, merges verdicts
+    and aggregates telemetry.  Workers start with ``fork`` where the
+    platform offers it, else with its default start method.
 
     Args:
         detector: A trained detector to replicate.  It is saved once to a
-            scanner-owned temp bundle; its ``threshold``/``explain`` settings
-            apply to every worker, so sharded verdicts match what this very
-            detector's ``scan`` would say.
-        bundle_path: Alternative to ``detector``: replicate from an existing
-            ``save()`` bundle (workers then use the explicit ``threshold`` /
-            ``explain`` arguments).
+            temp bundle, and its ``threshold``/``explain``/``cascade``/
+            ``cascade_margin`` settings apply to every worker, so sharded
+            verdicts match what this very detector's ``scan`` would say.
         shards: Worker process count (>= 1).
-        threshold: Decision threshold for bundle-loaded replicas.
-        explain: Attach indicator notes in bundle-loaded replicas.
         cache_dir: Optional directory for the shared on-disk graph cache
             tier.  Safe to share across shards and across runs (atomic
             writes); omit for per-worker in-memory caches only.
@@ -414,8 +328,6 @@ class ShardedScanner(ScanEntryPoints):
         chunk_size: Contracts per dispatched work unit.  Smaller chunks
             spread a skewed corpus more evenly and shrink the requeue window
             after a crash; larger chunks amortise IPC.
-        start_method: ``multiprocessing`` start method (default: ``fork``
-            where available, else the platform default).
         max_restarts: Respawns allowed per shard before its circuit opens
             and the shard is quarantined (its hash-space is rebalanced onto
             the healthy shards); the scan only fails when no healthy shard
@@ -423,12 +335,6 @@ class ShardedScanner(ScanEntryPoints):
         restart_backoff_s: Base respawn backoff; each further death of the
             same shard doubles it.  Non-blocking: the dispatch loop keeps
             draining results from the other shards while a respawn waits.
-        cascade: Enable the tier-0 pre-filter in bundle-loaded replicas
-            (the bundle must carry a trained cascade head).  Ignored when a
-            live ``detector`` is given: its ``cascade``/``cascade_margin``
-            settings are replicated instead, like ``threshold``/``explain``.
-        cascade_margin: Safety margin override for bundle-loaded replicas;
-            ``None`` keeps each head's trained margin.
 
     Use as a context manager (or call :meth:`close`) to release the pool;
     the pool starts lazily on first use and survives across scans, so the
@@ -437,70 +343,50 @@ class ShardedScanner(ScanEntryPoints):
 
     def __init__(
         self,
-        detector: Optional[ScamDetector] = None,
+        detector: ScamDetector,
         *,
-        bundle_path: Optional[PathLike] = None,
         shards: int = 2,
-        threshold: float = 0.5,
-        explain: bool = False,
         cache_dir: Optional[PathLike] = None,
         cache_capacity: int = 1024,
         inference_batch_size: int = 256,
         chunk_size: int = 16,
-        start_method: Optional[str] = None,
         max_restarts: int = 3,
         restart_backoff_s: float = 0.1,
-        cascade: bool = False,
-        cascade_margin: Optional[float] = None,
     ) -> None:
         if shards < 1:
             raise ValueError("shards must be >= 1")
         if chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
-        if (detector is None) == (bundle_path is None):
-            raise ValueError("pass exactly one of detector / bundle_path")
-        self._tempdir: Optional[tempfile.TemporaryDirectory] = None
-        if detector is not None:
-            if not detector.is_trained:
-                raise RuntimeError(
-                    "ShardedScanner requires a trained detector"
-                )
-            # Fail fast in the parent: a cascade-enabled detector without a
-            # trained head would otherwise only surface from worker load.
-            detector.cascade_head()
-            self._tempdir = tempfile.TemporaryDirectory(
-                prefix="scamdetect-shards-"
-            )
-            bundle_path = pathlib.Path(self._tempdir.name) / "replica"
-            detector.save(bundle_path)
-            threshold = detector.threshold
-            explain = detector.explain
-            cascade = detector.cascade
-            cascade_margin = detector.cascade_margin
+        if not detector.is_trained:
+            raise RuntimeError("ShardedScanner requires a trained detector")
+        # Fail fast in the parent: a cascade-enabled detector without a
+        # trained head would otherwise only surface from worker load.
+        detector.cascade_head()
+        self._tempdir: Optional[tempfile.TemporaryDirectory] = (
+            tempfile.TemporaryDirectory(prefix="scamdetect-shards-")
+        )
+        bundle_path = pathlib.Path(self._tempdir.name) / "replica"
+        detector.save(bundle_path)
         self.shards = shards
         self.chunk_size = chunk_size
-        self.inference_batch_size = inference_batch_size
         self.max_restarts = max_restarts
         self.restart_backoff_s = restart_backoff_s
         self._options = {
             "bundle_path": str(bundle_path),
-            "threshold": threshold,
-            "explain": explain,
-            "cascade": bool(cascade),
-            "cascade_margin": cascade_margin,
+            "threshold": detector.threshold,
+            "explain": detector.explain,
+            "cascade": detector.cascade,
+            "cascade_margin": detector.cascade_margin,
             "cache_dir": str(cache_dir) if cache_dir is not None else None,
             "cache_capacity": cache_capacity,
             "inference_batch_size": inference_batch_size,
         }
-        if start_method is None:
-            available = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in available else available[0]
-        self._context = multiprocessing.get_context(start_method)
+        fork = "fork" in multiprocessing.get_all_start_methods()
+        self._context = multiprocessing.get_context("fork" if fork else None)
         self._result_queue = None
         self._handles: List[_ShardHandle] = []
         self._windows = [_ShardWindow() for _ in range(shards)]
         self._chunk_counter = itertools.count()
-        self._rr_counter = itertools.count()
         self._breaker = CircuitBreaker(failure_threshold=max_restarts + 1)
         self._quarantined: set = set()
         self._closed = False
@@ -519,8 +405,8 @@ class ShardedScanner(ScanEntryPoints):
 
     @property
     def degraded(self) -> bool:
-        """True when at least one shard is quarantined (serving continues
-        on the healthy shards; ``/v1/healthz`` reports ``"degraded"``)."""
+        """True when at least one shard is quarantined (scans continue on
+        the healthy shards)."""
         return bool(self._quarantined)
 
     @property
@@ -689,16 +575,11 @@ class ShardedScanner(ScanEntryPoints):
             per_shard[shard_for_bytecode(raw, self.shards)].append(
                 (index, raw, platforms[index], ids[index])
             )
-        assignments = []
-        for shard_id, items in enumerate(per_shard):
-            for start in range(0, len(items), self.chunk_size):
-                assignments.append(
-                    (
-                        shard_id,
-                        "scan",
-                        items[start : start + self.chunk_size],
-                    )
-                )
+        assignments = [
+            (shard_id, items[start : start + self.chunk_size])
+            for shard_id, items in enumerate(per_shard)
+            for start in range(0, len(items), self.chunk_size)
+        ]
         windows_before = [window.copy() for window in self._windows]
         outputs = self._run_tasks(assignments)
 
@@ -752,56 +633,13 @@ class ShardedScanner(ScanEntryPoints):
         )
 
     # ------------------------------------------------------------------ #
-    # inference-only dispatch (used by the scan server's coalescer)
-
-    def infer(
-        self,
-        graphs: Sequence[ContractGraph],
-        batch_size: Optional[int] = None,
-    ) -> np.ndarray:
-        """Score already-lowered graphs on the pool; rows keep input order.
-
-        Micro-batches of ``batch_size`` graphs are dispatched round-robin
-        (inference has no cache affinity to preserve), which is how the
-        scan server's :class:`~repro.service.server.RequestCoalescer`
-        spreads coalesced batches across shards.
-        """
-        if not len(graphs):
-            return np.zeros((0, 2))
-        self.start()
-        size = batch_size or self.inference_batch_size
-        assignments = []
-        spans = []
-        for start in range(0, len(graphs), size):
-            chunk = graphs[start : start + size]
-            active = self._active_shards()
-            shard_id = active[next(self._rr_counter) % len(active)]
-            assignments.append(
-                (
-                    shard_id,
-                    "infer",
-                    [_graph_payload(graph) for graph in chunk],
-                )
-            )
-            spans.append((start, len(chunk)))
-        outputs = self._run_tasks(assignments)
-        width = outputs[0][1].shape[1] if outputs else 2
-        rows = np.zeros((len(graphs), width))
-        for (shard_id, shard_rows, seconds), (start, count) in zip(
-            outputs, spans
-        ):
-            rows[start : start + count] = shard_rows
-            self._windows[shard_id].absorb_infer(count, seconds)
-        return rows
-
-    # ------------------------------------------------------------------ #
     # dispatch/collect core with crash recovery
 
     def _run_tasks(
-        self, assignments: Sequence[Tuple[int, str, object]]
+        self, assignments: Sequence[Tuple[int, List[Tuple]]]
     ) -> List[Tuple]:
-        """Run ``(shard_id, kind, payload)`` tasks; returns per-assignment
-        ``(executing_shard_id, *payload)`` results in assignment order.
+        """Run ``(shard_id, items)`` scan chunks; returns per-assignment
+        ``(executing_shard_id, chunk_reports, stats)`` in assignment order.
 
         Execution is at-least-once, merging exactly-once: a dead worker is
         respawned with a fresh queue and its unacknowledged chunks are
@@ -810,7 +648,7 @@ class ShardedScanner(ScanEntryPoints):
         order: List[int] = []
         pending: Dict[int, int] = {}
         results: Dict[int, Tuple] = {}
-        for shard_id, kind, payload in assignments:
+        for shard_id, items in assignments:
             shard_id = self._route(shard_id)
             chunk_id = next(self._chunk_counter)
             # crash faults are evaluated here, parent-side, so the plan's
@@ -819,7 +657,7 @@ class ShardedScanner(ScanEntryPoints):
             # dequeue
             spec = evaluate_fault(f"shard.worker.{shard_id}")
             crash = spec is not None and spec.kind == "crash"
-            task = (kind, chunk_id, payload, crash, _trace_carrier())
+            task = (chunk_id, items, crash, _trace_carrier())
             handle = self._handles[shard_id]
             handle.tasks[chunk_id] = task
             pending[chunk_id] = shard_id
@@ -849,12 +687,8 @@ class ShardedScanner(ScanEntryPoints):
             if kind == "error":
                 self._abandon(pending)
                 raise ShardError(f"shard {shard_id} failed:\n{payload}")
-            if kind == "scan":
-                chunk_reports, stats = payload
-                results[chunk_id] = (shard_id, chunk_reports, stats)
-            else:  # infer
-                rows, seconds = payload
-                results[chunk_id] = (shard_id, rows, seconds)
+            chunk_reports, stats = payload
+            results[chunk_id] = (shard_id, chunk_reports, stats)
             del pending[chunk_id]
             self._handles[shard_id].tasks.pop(chunk_id, None)
         return [results[chunk_id] for chunk_id in order]
@@ -911,13 +745,9 @@ class ShardedScanner(ScanEntryPoints):
             # stay, keeping multi-crash schedules deterministic
             tasks = dict(handle.tasks)
             for chunk_id in sorted(tasks):
-                kind, chunk_id_, payload, crash, span_carrier = tasks[
-                    chunk_id
-                ]
+                _, items, crash, span_carrier = tasks[chunk_id]
                 if crash:
-                    tasks[chunk_id] = (
-                        kind, chunk_id_, payload, False, span_carrier
-                    )
+                    tasks[chunk_id] = (chunk_id, items, False, span_carrier)
                     break
             replacement.tasks = tasks
             for chunk_id in sorted(replacement.tasks):
@@ -932,8 +762,7 @@ class ShardedScanner(ScanEntryPoints):
         unacknowledged chunks onto the healthy shards.
 
         Raises :class:`ShardError` only when no healthy shard remains to
-        absorb the work -- otherwise the scan degrades instead of failing,
-        and ``/v1/healthz`` flips to ``"degraded"``.
+        absorb the work -- otherwise the scan degrades instead of failing.
         """
         handle = self._handles[index]
         shard_id = handle.shard_id
@@ -960,24 +789,8 @@ class ShardedScanner(ScanEntryPoints):
             stacklevel=4,
         )
         for chunk_id in sorted(handle.tasks):
-            kind, _, payload, _, span_carrier = handle.tasks.pop(chunk_id)
+            _, items, _, span_carrier = handle.tasks.pop(chunk_id)
             target = healthy[chunk_id % len(healthy)]
-            task = (kind, chunk_id, payload, False, span_carrier)
+            task = (chunk_id, items, False, span_carrier)
             target.tasks[chunk_id] = task
             target.task_queue.put(task)
-
-    # ------------------------------------------------------------------ #
-    # telemetry
-
-    def shard_stats_dict(self) -> Dict[str, Dict[str, object]]:
-        """Lifetime per-shard telemetry (scan + inference + restarts).
-
-        The scan server surfaces this under ``GET /v1/metrics`` as the
-        ``shards`` section; each entry reuses the shared
-        :func:`~repro.service.batch.throughput_stats` schema plus
-        ``inference`` latency counters and the shard's ``restarts``.
-        """
-        return {
-            f"shard-{shard_id}": window.to_dict()
-            for shard_id, window in enumerate(self._windows)
-        }

@@ -105,6 +105,41 @@ def test_no_grad_disables_graph():
     assert not out.requires_grad
 
 
+def test_no_grad_is_per_thread():
+    """Two threads' ``no_grad()`` blocks overlap: the first block's exit
+    must not turn grad back on inside the second, and once both have
+    exited grad is still on for everyone else."""
+    import threading
+
+    a = Tensor(np.ones(3), requires_grad=True)
+    first_inside = threading.Event()
+    second_inside = threading.Event()
+    first_exited = threading.Event()
+    observed = {}
+
+    def first():
+        with no_grad():
+            first_inside.set()
+            second_inside.wait(timeout=10.0)
+        first_exited.set()
+
+    def second():
+        first_inside.wait(timeout=10.0)
+        with no_grad():
+            second_inside.set()
+            first_exited.wait(timeout=10.0)
+            observed["inside"] = (a * 2).requires_grad
+
+    threads = [threading.Thread(target=first), threading.Thread(target=second)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=10.0)
+    assert not any(thread.is_alive() for thread in threads)
+    assert observed == {"inside": False}
+    assert (a * 2).requires_grad
+
+
 def test_gradient_accumulation_and_zero_grad():
     a = Tensor(np.ones(3), requires_grad=True)
     (a * 2).sum().backward()

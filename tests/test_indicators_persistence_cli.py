@@ -169,8 +169,9 @@ def test_cli_parser_subcommands():
     args = parser.parse_args(["query", "--registry", "r.db",
                               "--page-size", "20", "--cursor", "abc"])
     assert args.page_size == 20 and args.cursor == "abc"
-    args = parser.parse_args(["serve", "--model-path", "m", "--shards", "2"])
-    assert args.shards == 2
+    # the server has no shard pool: --shards is a usage error there
+    with pytest.raises(SystemExit):
+        parser.parse_args(["serve", "--model-path", "m", "--shards", "2"])
 
 
 def test_cli_corpus_command(capsys):

@@ -369,17 +369,8 @@ def _populated_snapshot():
         "queue": queue.snapshot(),
         "stats": {"scanned": 1, "malicious": 0, "alerts": 0},
     }
-    shard_stats = {
-        "shard-0": {
-            "contracts": 6,
-            "inference": {"calls": 2, "mean_latency_ms": 3.5},
-            "restarts": 0,
-            "quarantined": False,
-        }
-    }
     return metrics.snapshot(
         cache,
-        shard_stats=shard_stats,
         cascade_enabled=True,
         registry_busy_retries=0,
         ingest=ingest,
@@ -407,8 +398,6 @@ def test_render_prometheus_is_valid_exposition():
         "scamdetect_registry_busy_retries_total 0",
         'scamdetect_cascade_contracts_total{outcome="short_circuit"} 3',
         "scamdetect_cascade_disagreements_total 0",
-        'scamdetect_shard_contracts_total{shard="shard-0"} 6',
-        'scamdetect_shard_quarantined{shard="shard-0"} 0',
         "scamdetect_ingest_queue_depth 1",
         "scamdetect_ingest_queue_capacity 8",
         "scamdetect_ingest_queue_enqueued_total 1",
@@ -424,7 +413,6 @@ def test_render_prometheus_minimal_snapshot_valid():
     text = render_prometheus(metrics.snapshot(CacheStats()))
     assert validate_exposition(text) == []
     assert "scamdetect_ingest_queue_depth" not in text
-    assert "scamdetect_shard_contracts_total" not in text
     assert "scamdetect_cascade_contracts_total" not in text
 
 

@@ -7,7 +7,6 @@ run in parallel with anything else on the host.
 import concurrent.futures
 import threading
 import time
-import warnings
 
 import pytest
 
@@ -228,8 +227,9 @@ def test_coalescer_close_drains_queue(trained_detector, tiny_evm_corpus):
     pipeline = trained_detector.pipeline
     graphs = [pipeline.analyse_bytecode(sample.bytecode)[0]
               for sample in tiny_evm_corpus[:8]]
-    coalescer = RequestCoalescer(pipeline._trainer, ServerMetrics(),
-                                 max_batch=64, max_wait_ms=500.0)
+    coalescer = RequestCoalescer(pipeline._trainer.predict_proba,
+                                 ServerMetrics(), max_batch=64,
+                                 max_wait_ms=500.0)
     coalescer.start()
     results = {}
     threads = [threading.Thread(target=lambda i=i: results.update(
@@ -255,13 +255,37 @@ def test_server_refuses_untrained_detector():
         ScanServer(ScamDetector(FAST))
 
 
+def test_failed_construction_leaves_detector_untouched(trained_detector):
+    """A busy port, an ingest queue without a registry and a cache for
+    another fingerprint all fail without attaching anything to the
+    caller's pipeline."""
+    import socket
+
+    from repro.service import GraphCache
+
+    busy = socket.socket()
+    busy.bind(("127.0.0.1", 0))
+    busy.listen(1)
+    try:
+        with pytest.raises(OSError):
+            ScanServer(trained_detector, port=busy.getsockname()[1])
+    finally:
+        busy.close()
+    assert trained_detector.pipeline.graph_cache is None
+    with pytest.raises(ValueError, match="registry"):
+        ScanServer(trained_detector, port=0, ingest_queue=4)
+    assert trained_detector.pipeline.graph_cache is None
+    with pytest.raises(ValueError, match="fingerprint"):
+        ScanServer(trained_detector, port=0, cache=GraphCache("another"))
+    assert trained_detector.pipeline.graph_cache is None
+
+
 def test_coalescer_validates_parameters(trained_detector):
+    score = trained_detector.pipeline._trainer.predict_proba
     with pytest.raises(ValueError, match="max_batch"):
-        RequestCoalescer(trained_detector.pipeline._trainer, ServerMetrics(),
-                         max_batch=0)
+        RequestCoalescer(score, ServerMetrics(), max_batch=0)
     with pytest.raises(ValueError, match="max_wait_ms"):
-        RequestCoalescer(trained_detector.pipeline._trainer, ServerMetrics(),
-                         max_wait_ms=-1.0)
+        RequestCoalescer(score, ServerMetrics(), max_wait_ms=-1.0)
 
 
 def test_percentile_nearest_rank():
@@ -315,65 +339,6 @@ def test_cli_serve_bad_parameters_name_the_parameter(trained_detector,
             main(["serve", "--model-path", str(model_path), *flags])
         message = str(caught.value)
         assert "invalid parameters" in message and fragment in message
-
-
-# --------------------------------------------------------------------------- #
-# sharded serving
-
-
-def test_sharded_server_parity_and_metrics(trained_detector, tiny_evm_corpus):
-    """A ``shards=2`` server scores through the process pool: verdicts stay
-    byte-identical to ``scan`` and ``/metrics`` grows a per-shard section."""
-    with ScanServer(trained_detector, port=0, workers=8, max_batch=8,
-                    max_wait_ms=10.0, shards=2) as server:
-        client = ServerClient(port=server.port)
-        health = client.wait_until_ready(timeout=10.0)
-        assert health["shards"] == 2
-
-        samples = tiny_evm_corpus[:8]
-        batch = client.scan_batch([s.bytecode for s in samples],
-                                  sample_ids=[s.sample_id for s in samples])
-        singles = [client.scan(s.bytecode, sample_id=s.sample_id)
-                   for s in samples]
-        metrics = client.metrics()
-
-    for sample, report in zip(samples, batch["reports"]):
-        assert report == trained_detector.scan(
-            sample.bytecode, sample_id=sample.sample_id).to_dict()
-    for sample, report in zip(samples, singles):
-        assert report == trained_detector.scan(
-            sample.bytecode, sample_id=sample.sample_id).to_dict()
-
-    assert set(metrics["shards"]) == {"shard-0", "shard-1"}
-    inference = [entry["inference"] for entry in metrics["shards"].values()]
-    assert sum(entry["graphs"] for entry in inference) >= 16
-    assert all(entry["seconds"] >= 0.0 for entry in inference)
-    assert all(entry["restarts"] == 0
-               for entry in metrics["shards"].values())
-    # unsharded servers must not grow the section
-    with ScanServer(trained_detector, port=0, workers=2) as server:
-        client = ServerClient(port=server.port)
-        client.wait_until_ready(timeout=10.0)
-        assert "shards" not in client.metrics()
-        assert client.healthz()["shards"] == 1
-
-
-def test_shard_pool_start_failure_does_not_hang_shutdown(trained_detector):
-    """If the shard pool fails to come up, start() must leave the server in
-    a state whose shutdown() returns promptly (the full shutdown path would
-    block forever on an accept loop that never ran)."""
-    from repro.service import ShardError
-
-    server = ScanServer(trained_detector, port=0, workers=2, shards=2)
-
-    def refuse_to_start():
-        raise ShardError("replica failed to load")
-
-    server.sharded.start = refuse_to_start
-    with pytest.raises(ShardError):
-        server.start()
-    server.shutdown()  # regression: this used to deadlock
-    assert trained_detector.pipeline.graph_cache is None
 
 
 # --------------------------------------------------------------------------- #
@@ -614,33 +579,6 @@ def test_shutdown_drains_requests_slowed_by_injected_faults(
         server.shutdown()
     direct = [trained_detector.scan(code).to_dict() for code in codes]
     assert served == direct
-
-
-def test_scan_batch_survives_midbatch_worker_crash(trained_detector,
-                                                   tiny_evm_corpus):
-    from repro.resilience import FaultPlan, FaultSpec, fault_plan
-
-    codes = [sample.bytecode for sample in tiny_evm_corpus[:10]]
-    ids = [f"c{index}" for index in range(len(codes))]
-    direct = [trained_detector.scan(code, sample_id=sample_id).to_dict()
-              for code, sample_id in zip(codes, ids)]
-    # the coalescer dispatches the whole batch as one infer task, so the
-    # crash must fire on the first shard.worker.* dispatch
-    plan = FaultPlan(specs=(
-        FaultSpec(site="shard.worker.*", kind="crash", max_fires=1),))
-    with fault_plan(plan), warnings.catch_warnings():
-        warnings.simplefilter("ignore")   # the heal loop's respawn warning
-        server = ScanServer(trained_detector, port=0, workers=4,
-                            shards=2).start()
-        try:
-            client = ServerClient(port=server.port)
-            client.wait_until_ready()
-            batch = client.scan_batch(codes, sample_ids=ids)
-            assert batch["reports"] == direct
-            # the crash really happened and was healed, not skipped
-            assert server.sharded.restarts == 1
-        finally:
-            server.shutdown()
 
 
 # --------------------------------------------------------------------------- #

@@ -180,10 +180,6 @@ def test_sharded_scanner_empty_and_validation(trained_detector):
         assert result.reports == [] and result.num_workers == 2
     with pytest.raises(ValueError, match="shards"):
         ShardedScanner(trained_detector, shards=0)
-    with pytest.raises(ValueError, match="exactly one"):
-        ShardedScanner(trained_detector, bundle_path="/tmp/x")
-    with pytest.raises(ValueError, match="exactly one"):
-        ShardedScanner()
     with pytest.raises(RuntimeError, match="trained"):
         ShardedScanner(ScamDetector(FAST), shards=2)
 
@@ -205,22 +201,3 @@ def test_sharded_scan_directory(trained_detector, tiny_evm_corpus, oracle,
     assert result.skipped and "broken.hex" in result.skipped[0]
     expected = {f"{sample.sample_id}.hex" for sample in tiny_evm_corpus[:8]}
     assert {report.sample_id for report in result.reports} == expected
-
-
-def test_infer_matches_in_process_scoring(trained_detector, mixed_corpus):
-    """The round-robin inference path (used by the sharded scan server)
-    returns exactly the rows the in-process trainer computes."""
-    import numpy as np
-
-    pipeline = trained_detector.pipeline
-    graphs = [pipeline.analyse_bytecode(sample.bytecode,
-                                        platform=sample.platform)[0]
-              for sample in mixed_corpus[:10]]
-    expected = pipeline._trainer.predict_proba(graphs)
-    with ShardedScanner(trained_detector, shards=2) as scanner:
-        rows = scanner.infer(graphs, batch_size=3)
-        stats = scanner.shard_stats_dict()
-    np.testing.assert_allclose(rows, expected, rtol=0, atol=1e-12)
-    assert sum(entry["inference"]["graphs"]
-               for entry in stats.values()) == len(graphs)
-    assert sum(entry["inference"]["calls"] for entry in stats.values()) == 4
