@@ -39,8 +39,7 @@ def main() -> None:
     # today's traffic: clients re-submitting a mix of known bytecode
     feed = [corpus[index % len(corpus)].bytecode for index in range(96)]
 
-    with ScanServer(detector, port=0, workers=16, max_batch=16,
-                    max_wait_ms=10.0) as server:
+    with ScanServer(detector, port=0, workers=16, max_batch=16) as server:
         client = ServerClient(port=server.port)
         health = client.wait_until_ready()
         print(f"server up at {server.url} -- model: {health['model']}")

@@ -161,8 +161,6 @@ def main() -> int:
                 "64",
                 "--port",
                 str(args.port),
-                "--max-wait-ms",
-                "15",
             ],
         )
         base = f"http://127.0.0.1:{args.port}"

@@ -112,8 +112,6 @@ def main() -> int:
                 "64",
                 "--port",
                 str(args.port),
-                "--max-wait-ms",
-                "15",
                 "--trace-file",
                 str(trace_file),
                 "--log-json",

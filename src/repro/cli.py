@@ -515,8 +515,8 @@ def _command_serve(args: argparse.Namespace) -> int:
             disk_dir=args.cache_dir)
         server = ScanServer(detector, host=args.host, port=args.port,
                             workers=args.workers, max_batch=args.max_batch,
-                            max_wait_ms=args.max_wait_ms, cache=cache,
-                            registry=registry, ingest_queue=args.ingest_queue)
+                            cache=cache, registry=registry,
+                            ingest_queue=args.ingest_queue)
     except (OSError, OverflowError) as error:
         raise SystemExit(f"serve: cannot bind {args.host}:{args.port}: "
                          f"{error}")
@@ -528,8 +528,8 @@ def _command_serve(args: argparse.Namespace) -> int:
 
     previous_handler = signal.signal(signal.SIGTERM, _terminate)
     print(f"scamdetect server listening on {server.url} "
-          f"(workers={args.workers}, max_batch={args.max_batch}, "
-          f"max_wait_ms={args.max_wait_ms})", flush=True)
+          f"(workers={args.workers}, max_batch={args.max_batch})",
+          flush=True)
     try:
         server.serve_forever()
     except KeyboardInterrupt:
@@ -703,9 +703,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--max-batch", type=int, default=32,
                               help="max graphs coalesced into one GNN "
                                    "inference call")
-    serve_parser.add_argument("--max-wait-ms", type=float, default=5.0,
-                              help="how long to hold a request while "
-                                   "coalescing a batch (0 disables)")
     serve_parser.add_argument("--threshold", type=float, default=0.5)
     serve_parser.add_argument("--cache-dir", default=None,
                               help="directory for the persistent graph-cache "

@@ -268,28 +268,27 @@ class ScamDetector:
         Raises:
             RuntimeError: If called before :meth:`train` / :meth:`load`.
         """
-        if not self.is_trained:
-            raise RuntimeError("ScamDetector.scan called before train()")
-        outcome = ScanEngine(self).run([coerce_bytecode(code)], [sample_id],
-                                       [platform])
-        return outcome.reports[0]
+        return self._run_engine([code], [sample_id], [platform])[0]
 
     def scan_batch(self, codes: Iterable[BytecodeLike],
                    platform: Optional[str] = None,
                    sample_ids: Optional[Sequence[str]] = None) -> ScanSummary:
-        """Scan many contracts one-by-one and return a :class:`ScanSummary`.
+        """Scan many contracts in one engine run (one batched model call)
+        and return a :class:`ScanSummary`; prefer :meth:`scan_many` to reuse
+        a graph cache or a verdict registry across calls."""
+        codes = list(codes)
+        if sample_ids is None:
+            sample_ids = [f"contract-{index:04d}" for index in range(len(codes))]
+        return ScanSummary(reports=self._run_engine(
+            codes, sample_ids, [platform] * len(codes)))
 
-        This is the simple one-contract-at-a-time loop; prefer
-        :meth:`scan_many` for large inputs -- it batches GNN inference and
-        can reuse a graph cache or a verdict registry across calls.
-        """
-        summary = ScanSummary()
-        for index, code in enumerate(codes):
-            sample_id = (sample_ids[index] if sample_ids is not None
-                         else f"contract-{index:04d}")
-            summary.reports.append(self.scan(code, platform=platform,
-                                             sample_id=sample_id))
-        return summary
+    def _run_engine(self, codes: Sequence[BytecodeLike], ids: Sequence[str],
+                    platforms: Sequence[Optional[str]]) -> List[VerdictReport]:
+        """Reports of one engine run without a registry."""
+        if not self.is_trained:
+            raise RuntimeError("ScamDetector.scan called before train()")
+        raw_codes = [coerce_bytecode(code) for code in codes]
+        return ScanEngine(self).run(raw_codes, ids, platforms).reports
 
     def scan_many(self, codes: Iterable[BytecodeLike],
                   platform: Optional[str] = None,
@@ -404,9 +403,10 @@ class ScamDetector:
         return detector
 
     def scan_corpus(self, corpus: Corpus) -> ScanSummary:
-        """Scan every sample of a corpus (labels in the corpus are ignored)."""
-        summary = ScanSummary()
-        for sample in corpus:
-            summary.reports.append(self.scan(sample.bytecode, platform=sample.platform,
-                                             sample_id=sample.sample_id))
-        return summary
+        """Scan every sample of a corpus in one engine run (labels in the
+        corpus are ignored)."""
+        samples = list(corpus)
+        return ScanSummary(reports=self._run_engine(
+            [sample.bytecode for sample in samples],
+            [sample.sample_id for sample in samples],
+            [sample.platform for sample in samples]))

@@ -48,8 +48,8 @@ class ScamDetectPipeline:
                  graph_cache: Optional["GraphCache"] = None) -> None:
         self.config = config or ScamDetectConfig()
         self.config.validate()
+        self._check_cache_fingerprint(graph_cache)
         self.graph_cache = graph_cache
-        self._check_cache_fingerprint()
         self._trainer: Optional[GNNTrainer] = None
         self._model: Optional[GraphClassifier] = None
         #: Optional tier-0 pre-filter head (see :mod:`repro.cascade`);
@@ -61,14 +61,14 @@ class ScamDetectPipeline:
 
         Raises ValueError if the cache was built for a different graph
         fingerprint: serving graphs lowered under another config would
-        silently change verdicts, so a mismatch is always an error.
+        silently change verdicts, so a mismatch is always an error, and the
+        rejected cache is never attached.
         """
+        self._check_cache_fingerprint(cache)
         self.graph_cache = cache
-        self._check_cache_fingerprint()
         return self
 
-    def _check_cache_fingerprint(self) -> None:
-        cache = self.graph_cache
+    def _check_cache_fingerprint(self, cache: Optional["GraphCache"]) -> None:
         if cache is not None and cache.fingerprint != self.config.graph_fingerprint():
             raise ValueError(
                 f"graph cache fingerprint {cache.fingerprint!r} does not match "

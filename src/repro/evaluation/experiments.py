@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -649,6 +649,12 @@ class E9Config:
     batched-engine model scores the full EVM + WASM corpora with both
     inference paths.  ``epochs``/``batch_size`` mirror the trainer defaults
     the service and experiments actually use.
+
+    Both engines are timed in interleaved pairs (``train_repeats`` for
+    training, ``inference_repeats`` for inference), alternating which runs
+    first, and each gated speedup is the median per-pair ratio.  A timing
+    repeats its fit or corpus pass until it covers
+    :data:`E9_MIN_TIMING_SECONDS`, after a garbage collection.
     """
 
     num_samples_per_platform: int = 200
@@ -659,9 +665,13 @@ class E9Config:
     batch_size: int = 16
     hidden_features: int = 32
     num_layers: int = 2
-    train_repeats: int = 2
-    inference_repeats: int = 3
+    train_repeats: int = 3
+    inference_repeats: int = 5
     seed: int = 0
+
+
+#: Shortest window one E9 timing may cover.
+E9_MIN_TIMING_SECONDS = 0.1
 
 
 def run_e9_gnn_throughput(config: Optional[E9Config] = None) -> ExperimentResult:
@@ -673,6 +683,8 @@ def run_e9_gnn_throughput(config: Optional[E9Config] = None) -> ExperimentResult
     prediction parity (argmax mismatches between the two inference paths,
     which must be zero).
     """
+    import gc
+    import statistics
     import time
 
     from repro.gnn.data import corpus_to_graphs
@@ -709,34 +721,46 @@ def run_e9_gnn_throughput(config: Optional[E9Config] = None) -> ExperimentResult
     for vectorized in (False, True):
         make_trainer(vectorized, epochs=1).fit(train_graphs)
 
-    # -- training: identical workload, per-graph loop vs batched engine ---- #
-    # best-of-repeats on fresh trainers isolates engine throughput from
-    # scheduler noise; both engines run the same trajectory every repeat
-    timings: Dict[str, float] = {}
+    # -- timing: fresh trainers, then the batched-engine model scored
+    # through both paths; both engines run the same trajectory every time
+    modes = ("per-graph", "batched")
     trainers: Dict[str, GNNTrainer] = {}
-    for mode, vectorized in (("per-graph", False), ("batched", True)):
-        best = float("inf")
-        for _ in range(max(1, config.train_repeats)):
-            trainer = make_trainer(vectorized, epochs=config.epochs)
-            started = time.perf_counter()
-            trainer.fit(train_graphs)
-            best = min(best, time.perf_counter() - started)
-        timings[mode] = best
-        trainers[mode] = trainer
-
-    # -- inference: the batched-engine model scored through both paths ----- #
-    scorer = trainers["batched"]
-    inference: Dict[str, float] = {}
     probabilities: Dict[str, np.ndarray] = {}
-    for mode, vectorized in (("per-graph", False), ("batched", True)):
-        scorer.vectorized = vectorized
-        best = float("inf")
-        for _ in range(max(1, config.inference_repeats)):
-            started = time.perf_counter()
-            probabilities[mode] = scorer.predict_proba(all_graphs)
-            best = min(best, time.perf_counter() - started)
-        inference[mode] = best
-    scorer.vectorized = True
+
+    def fit(mode: str) -> None:
+        trainer = trainers[mode] = make_trainer(mode == "batched", config.epochs)
+        trainer.fit(train_graphs)
+
+    def score(mode: str) -> None:
+        trainers["batched"].vectorized = mode == "batched"
+        probabilities[mode] = trainers["batched"].predict_proba(all_graphs)
+
+    def seconds_per_call(call: Callable[[], None]) -> float:
+        # a collection first: garbage the previous timing left must not
+        # be collected inside this one
+        gc.collect()
+        calls = 0
+        started = time.perf_counter()
+        while True:
+            call()
+            calls += 1
+            elapsed = time.perf_counter() - started
+            if elapsed >= E9_MIN_TIMING_SECONDS:
+                return elapsed / calls
+
+    def interleaved(repeats: int, call: Callable[[str], None]
+                    ) -> Dict[str, List[float]]:
+        timed: Dict[str, List[float]] = {mode: [] for mode in modes}
+        for pair in range(max(1, repeats)):
+            for mode in modes if pair % 2 == 0 else modes[::-1]:
+                timed[mode].append(seconds_per_call(lambda: call(mode)))
+        return timed
+
+    train_timed = interleaved(config.train_repeats, fit)
+    for mode in modes:  # untimed: populates each path's lazy caches
+        score(mode)
+    infer_timed = interleaved(config.inference_repeats, score)
+    trainers["batched"].vectorized = True
     mismatches = int(np.sum(np.argmax(probabilities["batched"], axis=1)
                             != np.argmax(probabilities["per-graph"], axis=1)))
 
@@ -744,17 +768,22 @@ def run_e9_gnn_throughput(config: Optional[E9Config] = None) -> ExperimentResult
         experiment_id="E9",
         title=f"Batched-graph engine throughput vs per-graph oracle "
               f"({config.architecture}, batch_size={config.batch_size})")
-    for mode in ("per-graph", "batched"):
+    for mode in modes:
+        train_seconds = statistics.median(train_timed[mode])
+        infer_seconds = statistics.median(infer_timed[mode])
         result.rows.append({
             "mode": mode,
-            "train_seconds": timings[mode],
-            "train_epochs_per_second": config.epochs / timings[mode],
-            "infer_seconds": inference[mode],
-            "infer_graphs_per_second": len(all_graphs) / inference[mode],
+            "train_seconds": train_seconds,
+            "train_epochs_per_second": config.epochs / train_seconds,
+            "infer_seconds": infer_seconds,
+            "infer_graphs_per_second": len(all_graphs) / infer_seconds,
         })
+    # median per-pair ratios (the dicts keep per-graph before batched)
     result.summary = {
-        "train_speedup": timings["per-graph"] / timings["batched"],
-        "inference_speedup": inference["per-graph"] / inference["batched"],
+        "train_speedup": statistics.median(
+            p / b for p, b in zip(*train_timed.values())),
+        "inference_speedup": statistics.median(
+            p / b for p, b in zip(*infer_timed.values())),
         "train_graphs": float(len(train_graphs)),
         "inference_graphs": float(len(all_graphs)),
         "prediction_mismatches": float(mismatches),

@@ -209,27 +209,34 @@ class EventIngestService:
         self.recursive = recursive
         self.rules = rules
         self.batch_size = batch_size
-        self.scanner = BatchScanner(
-            detector,
-            cache=cache,
-            shards=shards,
-            registry=registry,
-        )
         self.queue = IngestQueue(queue_capacity, retry_after_s=retry_after_s)
         self.watcher = (
             open_watcher(self.roots, pattern, recursive=recursive,
                          backend=backend)
             if self.roots else None
         )
+        try:
+            # live mirror of the registry's watched-file index: the enqueue
+            # classifier must not pay a registry query per event
+            self._index: Dict[str, Tuple[int, int]] = {
+                path: (entry.size, entry.mtime_ns)
+                for path, entry in registry.watched_files().items()
+            }
+            # last: it attaches the cache to the caller's pipeline, so
+            # every check above has passed by then
+            self.scanner = BatchScanner(
+                detector,
+                cache=cache,
+                shards=shards,
+                registry=registry,
+            )
+        except BaseException:
+            if self.watcher is not None:
+                self.watcher.close()
+            raise
         self._labels = self._root_labels(self.roots)
         self.stats = IngestStats()
         self.exit_nonzero = False
-        # live mirror of the registry's watched-file index: the enqueue
-        # classifier must not pay a registry query per event
-        self._index: Dict[str, Tuple[int, int]] = {
-            path: (entry.size, entry.mtime_ns)
-            for path, entry in registry.watched_files().items()
-        }
         self._pending_events: List[FileEvent] = []
         self._scan_lock = threading.Lock()
         self._stop = threading.Event()

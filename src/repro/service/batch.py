@@ -470,12 +470,11 @@ class BatchScanner(ScanEntryPoints):
         if shards < 1:
             raise ValueError("shards must be >= 1")
         self.detector = detector
-        if cache is not None:
-            detector.pipeline.set_graph_cache(cache)
-        self.cache = detector.pipeline.graph_cache
         self.inference_batch_size = inference_batch_size
         self.shards = shards
         self._sharded = None
+        # built first: it rejects a registry scoped to another fingerprint
+        # before the cache is attached to the caller's pipeline
         self._engine = ScanEngine(
             detector,
             registry=registry,
@@ -483,6 +482,9 @@ class BatchScanner(ScanEntryPoints):
             inference_batch_size=inference_batch_size,
         )
         self.registry = registry
+        if cache is not None:
+            detector.pipeline.set_graph_cache(cache)
+        self.cache = detector.pipeline.graph_cache
 
     # ------------------------------------------------------------------ #
     # sharded path

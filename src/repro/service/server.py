@@ -29,8 +29,8 @@ The core of the serving path is the :class:`RequestCoalescer`: handler
 threads lower bytecode to graphs (through the shared
 :class:`~repro.service.cache.GraphCache`) and enqueue them; a single
 inference thread drains the queue into one block-diagonal
-:class:`~repro.gnn.data.GraphBatch` call per micro-batch (up to ``max_batch``
-graphs, waiting at most ``max_wait_ms`` for stragglers).  Because
+:class:`~repro.gnn.data.GraphBatch` call per micro-batch (whatever is queued
+when it wakes, up to ``max_batch`` graphs).  Because
 :meth:`ScamDetector.build_report` quantizes scores far above the batch
 composition noise floor, coalesced verdicts are byte-identical to
 single-shot :meth:`ScamDetector.scan` verdicts -- concurrency changes
@@ -289,9 +289,10 @@ class RequestCoalescer:
     """Micro-batches concurrent inference requests into single model calls.
 
     Handler threads call :meth:`submit` with already-lowered graphs and
-    block; a single drain thread collects up to ``max_batch`` graphs --
-    waiting at most ``max_wait_ms`` after the first arrival for stragglers --
-    and scores them with one batched ``score`` call.  The drain thread is
+    block; a single drain thread waits for the first submission, takes
+    whatever else is already queued (up to ``max_batch`` graphs) and scores
+    them with one batched ``score`` call.  Batches form while a model call
+    runs, and an idle server never holds a request back.  The drain thread is
     not the model's only caller: under ``--ingest-queue`` the ingest drain
     thread scores its own batches at the same time, so ``score`` must be
     safe to call from several threads (inference reads the weights only,
@@ -309,9 +310,6 @@ class RequestCoalescer:
         max_batch: Graph budget per inference call.  A single oversized
             submission (a big ``/v1/scan-batch`` request) is still honoured;
             it is chunked internally at this size.
-        max_wait_ms: How long to hold the first request of a batch while
-            waiting for companions.  0 disables coalescing (every request is
-            scored alone, still through the single inference thread).
         max_queue: Bound on queued (not yet scored) submissions; a submit
             over the bound raises :class:`ServerOverloaded` (-> 503 +
             ``Retry-After``) instead of growing the queue without limit.
@@ -323,24 +321,19 @@ class RequestCoalescer:
         score: Callable[..., Sequence[Sequence[float]]],
         metrics: ServerMetrics,
         max_batch: int = 32,
-        max_wait_ms: float = 5.0,
         max_queue: Optional[int] = None,
     ) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if max_wait_ms < 0:
-            raise ValueError("max_wait_ms must be >= 0")
         if max_queue is not None and max_queue < 1:
             raise ValueError("max_queue must be >= 1 (or None)")
         self._score_graphs = score
         self._metrics = metrics
         self.max_batch = max_batch
-        self.max_wait_ms = max_wait_ms
         self.max_queue = max_queue
         self._queue: queue.Queue = queue.Queue()
         self._lock = threading.Lock()
         self._closed = False
-        self._stopping = threading.Event()
         #: queued by close() AFTER the closed flag flips, under the same
         #: lock submit() enqueues under -- FIFO ordering then guarantees the
         #: sentinel sits behind every accepted submission, so the drain
@@ -381,7 +374,8 @@ class RequestCoalescer:
                 )
             self._queue.put(pending)
         # obs site coalescer.wait: time this submitter spent blocked on the
-        # drain thread (queueing + batch hold window + model call)
+        # drain thread (queueing behind the model call in progress + its own
+        # model call)
         with trace("coalescer.wait", graphs=len(graphs)):
             pending.ready.wait()
         if pending.error is not None:
@@ -391,7 +385,6 @@ class RequestCoalescer:
 
     def close(self) -> None:
         """Stop accepting work, drain the queue, then stop the thread."""
-        self._stopping.set()  # skip hold windows from here on
         with self._lock:
             if self._closed:
                 return
@@ -414,34 +407,16 @@ class RequestCoalescer:
                 return
             batch = [first]
             total = len(first.graphs)
-            if not self._stopping.is_set() and self.max_wait_ms > 0:
-                deadline = time.monotonic() + self.max_wait_ms / 1e3
-                while total < self.max_batch:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        break
-                    try:
-                        extra = self._queue.get(timeout=remaining)
-                    except queue.Empty:
-                        break
-                    if extra is self._shutdown_sentinel:
-                        done = True
-                        break
-                    batch.append(extra)
-                    total += len(extra.graphs)
-            else:
-                # shutting down (or coalescing disabled): take whatever is
-                # already queued without holding the batch open
-                while total < self.max_batch:
-                    try:
-                        extra = self._queue.get_nowait()
-                    except queue.Empty:
-                        break
-                    if extra is self._shutdown_sentinel:
-                        done = True
-                        break
-                    batch.append(extra)
-                    total += len(extra.graphs)
+            while total < self.max_batch:
+                try:
+                    extra = self._queue.get_nowait()
+                except queue.Empty:
+                    break
+                if extra is self._shutdown_sentinel:
+                    done = True
+                    break
+                batch.append(extra)
+                total += len(extra.graphs)
             self._score(batch, total)
 
     def _score(self, batch: List[_PendingInference], total: int) -> None:
@@ -635,10 +610,12 @@ class _ScanHTTPRequestHandler(BaseHTTPRequestHandler):
     def _retry_after_seconds(self) -> int:
         return max(1, int(round(self.scan_server.retry_after_s)))
 
-    def _read_json(self) -> object:
+    def _read_sized_body(self, missing_length: str) -> bytes:
+        """The request body as announced by ``Content-Length``; a missing
+        header answers 411 with ``missing_length`` as the message."""
         length_header = self.headers.get("Content-Length")
         if length_header is None:
-            raise _RequestError(411, "Content-Length header is required")
+            raise _RequestError(411, missing_length)
         try:
             length = int(length_header)
         except ValueError:
@@ -651,7 +628,10 @@ class _ScanHTTPRequestHandler(BaseHTTPRequestHandler):
             raise _RequestError(
                 413, f"request body exceeds {MAX_BODY_BYTES} bytes"
             )
-        body = self.rfile.read(length)
+        return self.rfile.read(length)
+
+    def _read_json(self) -> object:
+        body = self._read_sized_body("Content-Length header is required")
         try:
             return json.loads(body)
         except ValueError as error:
@@ -665,24 +645,10 @@ class _ScanHTTPRequestHandler(BaseHTTPRequestHandler):
         encoding = (self.headers.get("Transfer-Encoding") or "").lower()
         if "chunked" in encoding:
             return self._read_chunked_body()
-        length_header = self.headers.get("Content-Length")
-        if length_header is None:
-            raise _RequestError(
-                411,
-                "Content-Length header is required "
-                "(or use Transfer-Encoding: chunked)",
-            )
-        try:
-            length = int(length_header)
-        except ValueError:
-            raise _RequestError(400, "invalid Content-Length") from None
-        if length < 0:
-            raise _RequestError(400, "invalid Content-Length")
-        if length > MAX_BODY_BYTES:
-            raise _RequestError(
-                413, f"request body exceeds {MAX_BODY_BYTES} bytes"
-            )
-        return self.rfile.read(length)
+        return self._read_sized_body(
+            "Content-Length header is required "
+            "(or use Transfer-Encoding: chunked)"
+        )
 
     def _read_chunked_body(self) -> bytes:
         blocks = []
@@ -1059,7 +1025,6 @@ class ScanServer:
             holds the GIL, so more threads overlap waits (I/O, the
             coalescer, the registry), not CFG recovery.
         max_batch: Coalescer graph budget per inference call.
-        max_wait_ms: Coalescer hold time for batch formation.
         max_queue: Bound on queued inference submissions; requests over the
             bound get 503 + ``Retry-After`` (backpressure) instead of
             queueing without limit.  None = unbounded (the default).
@@ -1088,7 +1053,6 @@ class ScanServer:
         port: int = DEFAULT_PORT,
         workers: int = 8,
         max_batch: int = 32,
-        max_wait_ms: float = 5.0,
         cache: Optional[GraphCache] = None,
         registry=None,
         max_queue: Optional[int] = None,
@@ -1126,7 +1090,6 @@ class ScanServer:
             detector.pipeline._trainer.predict_proba,
             self.metrics,
             max_batch=max_batch,
-            max_wait_ms=max_wait_ms,
             max_queue=max_queue,
         )
         self._httpd = _ThreadPoolHTTPServer(
@@ -1212,7 +1175,6 @@ class ScanServer:
             ),
             "workers": self.workers,
             "max_batch": self.coalescer.max_batch,
-            "max_wait_ms": self.coalescer.max_wait_ms,
             "queue_depth": self.coalescer.queue_depth,
         }
         if self.detector.cascade:

@@ -207,8 +207,7 @@ def test_scan_many_shards_roundtrip(detector, scan_corpus, cascade_oracle):
 
 def test_server_coalesced_parity_and_metrics(detector, scan_corpus,
                                              cascade_oracle):
-    with ScanServer(detector, port=0, workers=8, max_batch=8,
-                    max_wait_ms=25.0) as server:
+    with ScanServer(detector, port=0, workers=8, max_batch=8) as server:
         client = ServerClient(port=server.port)
         client.wait_until_ready(timeout=10.0)
         health = client.healthz()

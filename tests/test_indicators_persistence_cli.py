@@ -169,9 +169,11 @@ def test_cli_parser_subcommands():
     args = parser.parse_args(["query", "--registry", "r.db",
                               "--page-size", "20", "--cursor", "abc"])
     assert args.page_size == 20 and args.cursor == "abc"
-    # the server has no shard pool: --shards is a usage error there
-    with pytest.raises(SystemExit):
-        parser.parse_args(["serve", "--model-path", "m", "--shards", "2"])
+    # the server has no shard pool and no batch hold window: both flags
+    # are usage errors there
+    for flag in ("--shards", "--max-wait-ms"):
+        with pytest.raises(SystemExit):
+            parser.parse_args(["serve", "--model-path", "m", flag, "2"])
 
 
 def test_cli_corpus_command(capsys):

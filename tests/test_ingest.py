@@ -38,6 +38,7 @@ from repro.ingest import (
 from repro.registry import RulesEngine, ScanRegistry, content_sha256, \
     parse_rules
 from repro.resilience import FaultPlan, FaultSpec, fault_plan
+from repro.service.server import MAX_BODY_BYTES
 
 FAST = ScamDetectConfig(epochs=3, num_layers=1, hidden_features=8)
 
@@ -707,6 +708,72 @@ def test_server_ingest_requires_registry(trained_detector):
         ScanServer(trained_detector, port=0, ingest_queue=4)
     with pytest.raises(ValueError, match="ingest_queue"):
         ScanServer(trained_detector, port=0, ingest_queue=0)
+
+
+def test_rejected_service_attaches_no_cache(trained_detector, tmp_path,
+                                            monkeypatch):
+    """A service that fails to construct leaves the caller's pipeline as
+    it was, and closes the watcher it opened."""
+    from repro.service import GraphCache
+
+    cache = GraphCache.for_config(trained_detector.config)
+    previous = trained_detector.pipeline.graph_cache
+    closed = []
+    close = PollWatcher.close
+    monkeypatch.setattr(PollWatcher, "close",
+                        lambda self: closed.append(self) or close(self))
+    with ScanRegistry.for_config(tmp_path / "verdicts.db",
+                                 trained_detector.config) as registry:
+        with pytest.raises(ValueError, match="capacity"):
+            EventIngestService(trained_detector, registry,
+                               queue_capacity=0, cache=cache)
+        assert trained_detector.pipeline.graph_cache is previous
+        with pytest.raises(ValueError, match="backend"):
+            EventIngestService(trained_detector, registry,
+                               roots=(tmp_path,), backend="bogus",
+                               cache=cache)
+        assert trained_detector.pipeline.graph_cache is previous
+    other_config = ScamDetectConfig(node_feature_mode="count")
+    with ScanRegistry.for_config(tmp_path / "other.db",
+                                 other_config) as other:
+        with pytest.raises(ValueError, match="fingerprint"):
+            EventIngestService(trained_detector, other, roots=(tmp_path,),
+                               backend="poll", cache=cache)
+    assert trained_detector.pipeline.graph_cache is previous
+    assert len(closed) == 1
+
+
+@pytest.mark.parametrize("length, status, message", [
+    (None, 411, "Content-Length header is required"),
+    ("abc", 400, "invalid Content-Length"),
+    ("-1", 400, "invalid Content-Length"),
+    (str(MAX_BODY_BYTES + 1), 413,
+     f"request body exceeds {MAX_BODY_BYTES} bytes"),
+])
+def test_scan_and_ingest_share_content_length_rules(ingest_server, length,
+                                                    status, message):
+    import http.client
+
+    server, _ = ingest_server
+    for path in ("/v1/scan", "/v1/ingest"):
+        connection = http.client.HTTPConnection(server.host, server.port,
+                                                timeout=10)
+        try:
+            connection.putrequest("POST", path)
+            if length is not None:
+                connection.putheader("Content-Length", length)
+            connection.endheaders()
+            response = connection.getresponse()
+            error = json.loads(response.read())["error"]
+        finally:
+            connection.close()
+        expected = message
+        if status == 411 and path == "/v1/ingest":
+            expected += " (or use Transfer-Encoding: chunked)"
+        assert response.status == status
+        assert error["message"] == expected
+        assert error["code"] == {411: "length_required", 400: "bad_request",
+                                 413: "payload_too_large"}[status]
 
 
 def test_server_ingest_full_queue_answers_503(ingest_server,

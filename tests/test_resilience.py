@@ -462,7 +462,7 @@ def test_bounded_coalescer_queue_sheds_load(trained_detector,
         return [[0.5, 0.5]] * len(batch)       # predict_proba-shaped rows
 
     coalescer = RequestCoalescer(score=slow_scorer, metrics=ServerMetrics(),
-                                 max_wait_ms=0.0, max_queue=1)
+                                 max_queue=1)
     coalescer.start()
     try:
         workers = [threading.Thread(target=coalescer.submit, args=(graphs,),

@@ -32,8 +32,8 @@ def trained_detector(tiny_evm_corpus):
 
 @pytest.fixture()
 def server(trained_detector):
-    with ScanServer(trained_detector, port=0, workers=16, max_batch=16,
-                    max_wait_ms=25.0) as running:
+    with ScanServer(trained_detector, port=0, workers=16,
+                    max_batch=16) as running:
         yield running
     # shutdown hands the detector back with its original (absent) cache
     assert trained_detector.pipeline.graph_cache is None
@@ -195,28 +195,56 @@ def test_errors_counted_not_latency(client):
 # graceful shutdown
 
 
+def _gated_scorer(score):
+    """``(gated score, calls, release)``: the gated score records each
+    call's graph count, then blocks until ``release`` is set."""
+    calls = []
+    release = threading.Event()
+
+    def gated(graphs, batch_size=None):
+        calls.append(len(graphs))
+        release.wait(timeout=10.0)
+        return score(graphs, batch_size=batch_size)
+
+    return gated, calls, release
+
+
+def _wait_until(condition, what, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, what
+        time.sleep(0.005)
+
+
 def test_shutdown_drains_inflight_http_requests(trained_detector,
-                                                tiny_evm_corpus):
-    # long hold window + big batch budget: requests pile up in the coalescer
-    # and are still unanswered when shutdown starts
-    server = ScanServer(trained_detector, port=0, workers=16, max_batch=64,
-                        max_wait_ms=400.0).start()
+                                                tiny_evm_corpus,
+                                                monkeypatch):
+    # the first model call blocks until shutdown has begun, so every other
+    # request is still queued in the coalescer when shutdown starts
+    trainer = trained_detector.pipeline._trainer
+    gated, calls, release = _gated_scorer(trainer.predict_proba)
+    monkeypatch.setattr(trainer, "predict_proba", gated)
+    server = ScanServer(trained_detector, port=0, workers=16,
+                        max_batch=64).start()
+    stopper = threading.Thread(target=server.shutdown)
     try:
         client = ServerClient(port=server.port)
         client.wait_until_ready()
         codes = [sample.bytecode for sample in tiny_evm_corpus[:12]]
         with concurrent.futures.ThreadPoolExecutor(max_workers=12) as pool:
             futures = [pool.submit(client.scan, code) for code in codes]
-            # wait until every request reached a handler (the coalescer's
-            # 400ms hold window keeps them all unanswered) -- sleeping
-            # instead would race the accept loop under a loaded test host
-            deadline = time.monotonic() + 10.0
-            while server.metrics.requests.get("scan", 0) < len(codes):
-                assert time.monotonic() < deadline, "requests never accepted"
-                time.sleep(0.01)
-            server.shutdown()         # must drain, not drop
+            _wait_until(
+                lambda: calls and server.coalescer.queue_depth + calls[0]
+                == len(codes),
+                "requests never reached the coalescer")
+            stopper.start()           # must drain, not drop
+            _wait_until(server._stop_requested.is_set, "shutdown never began")
+            release.set()
             served = [future.result(timeout=10.0) for future in futures]
+        stopper.join(timeout=10.0)
+        assert not stopper.is_alive()
     finally:
+        release.set()
         server.shutdown()
     assert trained_detector.pipeline.graph_cache is None  # cache restored
     direct = [trained_detector.scan(code).to_dict() for code in codes]
@@ -227,19 +255,28 @@ def test_coalescer_close_drains_queue(trained_detector, tiny_evm_corpus):
     pipeline = trained_detector.pipeline
     graphs = [pipeline.analyse_bytecode(sample.bytecode)[0]
               for sample in tiny_evm_corpus[:8]]
-    coalescer = RequestCoalescer(pipeline._trainer.predict_proba,
-                                 ServerMetrics(), max_batch=64,
-                                 max_wait_ms=500.0)
+    gated, calls, release = _gated_scorer(pipeline._trainer.predict_proba)
+    coalescer = RequestCoalescer(gated, ServerMetrics(), max_batch=64)
     coalescer.start()
     results = {}
     threads = [threading.Thread(target=lambda i=i: results.update(
         {i: coalescer.submit([graphs[i]])})) for i in range(len(graphs))]
-    for thread in threads:
-        thread.start()
-    time.sleep(0.1)                   # everything queued, window still open
-    coalescer.close()                 # drains before stopping
-    for thread in threads:
+    closer = threading.Thread(target=coalescer.close)
+    try:
+        for thread in threads:
+            thread.start()
+        # one model call blocked, everything else queued
+        _wait_until(lambda: calls and coalescer.queue_depth + calls[0]
+                    == len(graphs), "submissions never queued")
+        closer.start()                # drains before stopping
+        _wait_until(lambda: coalescer._closed, "close never began")
+        with pytest.raises(RuntimeError, match="shutting down"):
+            coalescer.submit([graphs[0]])
+    finally:
+        release.set()
+    for thread in threads + [closer]:
         thread.join(timeout=10.0)
+        assert not thread.is_alive()
     assert sorted(results) == list(range(len(graphs)))
     expected = pipeline._trainer.predict_proba(graphs)
     for index, probabilities in results.items():
@@ -248,6 +285,60 @@ def test_coalescer_close_drains_queue(trained_detector, tiny_evm_corpus):
 
     with pytest.raises(RuntimeError, match="shutting down"):
         coalescer.submit([graphs[0]])
+
+
+def test_coalescer_scores_what_queued_during_a_model_call(trained_detector,
+                                                          tiny_evm_corpus):
+    """A lone submission is scored at once, and the submissions made while
+    its model call runs are scored together in the next single call."""
+    pipeline = trained_detector.pipeline
+    graphs = [pipeline.analyse_bytecode(sample.bytecode)[0]
+              for sample in tiny_evm_corpus[:6]]
+    score = pipeline._trainer.predict_proba
+    entered = []
+
+    def timed(batch, batch_size=None):
+        entered.append(time.perf_counter())
+        return score(batch, batch_size=batch_size)
+
+    coalescer = RequestCoalescer(timed, ServerMetrics(), max_batch=64)
+    coalescer.start()
+    try:
+        # a submission reaching an idle coalescer is scored at once; the
+        # minimum over five keeps a scheduler hiccup from failing this
+        delays = []
+        for graph in graphs[:5]:
+            submitted = time.perf_counter()
+            coalescer.submit([graph])
+            delays.append(entered[-1] - submitted)
+        assert min(delays) < 0.005
+    finally:
+        coalescer.close()
+
+    gated, calls, release = _gated_scorer(score)
+    coalescer = RequestCoalescer(gated, ServerMetrics(), max_batch=64)
+    coalescer.start()
+    results = {}
+    threads = [threading.Thread(target=lambda i=i: results.update(
+        {i: coalescer.submit([graphs[i]])})) for i in range(len(graphs))]
+    try:
+        threads[0].start()
+        _wait_until(lambda: calls == [1], "lone submission never scored")
+        for thread in threads[1:]:
+            thread.start()
+        _wait_until(lambda: coalescer.queue_depth == len(graphs) - 1,
+                    "submissions never queued")
+    finally:
+        release.set()
+    for thread in threads:
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+    coalescer.close()
+    assert calls == [1, len(graphs) - 1]
+    expected = score(graphs)
+    for index, probabilities in results.items():
+        assert probabilities[0] == pytest.approx(
+            float(expected[index][1]), abs=1e-9)
 
 
 def test_server_refuses_untrained_detector():
@@ -284,8 +375,6 @@ def test_coalescer_validates_parameters(trained_detector):
     score = trained_detector.pipeline._trainer.predict_proba
     with pytest.raises(ValueError, match="max_batch"):
         RequestCoalescer(score, ServerMetrics(), max_batch=0)
-    with pytest.raises(ValueError, match="max_wait_ms"):
-        RequestCoalescer(score, ServerMetrics(), max_wait_ms=-1.0)
 
 
 def test_percentile_nearest_rank():
@@ -352,7 +441,7 @@ def registry_server(trained_detector, tmp_path):
     registry = ScanRegistry.for_config(tmp_path / "verdicts.db",
                                        trained_detector.config)
     with ScanServer(trained_detector, port=0, workers=4, max_batch=8,
-                    max_wait_ms=5.0, registry=registry) as running:
+                    registry=registry) as running:
         yield running, registry
     registry.close()
 

@@ -369,6 +369,13 @@ def test_batch_scanner_requires_trained_detector():
         BatchScanner(ScamDetector(FAST))
 
 
+def test_batch_scanner_rejected_cache_is_not_attached(trained_detector):
+    previous = trained_detector.pipeline.graph_cache
+    with pytest.raises(ValueError, match="fingerprint"):
+        BatchScanner(trained_detector, cache=GraphCache("another"))
+    assert trained_detector.pipeline.graph_cache is previous
+
+
 def test_batch_scanner_empty_input(trained_detector):
     result = BatchScanner(trained_detector).scan_codes([])
     assert result.num_scanned == 0
